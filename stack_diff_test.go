@@ -1,0 +1,653 @@
+package aria
+
+// Stack-level differential test: the refactor oracle for everything
+// behind Open. A seeded random op sequence — Put/Get/Delete/GetV/CAS/
+// PutTTL under an injected clock/MGet/MPut/MDelete/single- and
+// cross-shard TxnCommit/Scan/Checkpoint/Close+re-Open/VerifyIntegrity —
+// runs against every combination of {1, 4} shards × {memory, DataDir,
+// DataDir+ColdCompress} × {Metrics nil, set} × four schemes, and every
+// op is checked against a plain-map oracle: value, error class, expiry
+// and version monotonicity.
+//
+// It uses the public API only, so the same file compiles and passes on
+// the commit before the per-shard op path replaced the decorator stack.
+// Each arm also folds every op's outcome, and the deterministic Stats
+// fields after every op, into two fingerprints compared with constants
+// recorded on that commit: the simulated-cycle oracle for the CAS/TTL/
+// txn/scan/checkpoint/recovery paths no BENCH_*.json table covers.
+// ColdCompress arms pin the outcome fingerprint only: their segment
+// checkpoints read keys in Go map order, so their cycle counts are not
+// repeatable run to run on any commit.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/ariakv/aria/obs"
+)
+
+const (
+	diffOps      = 420
+	diffKeys     = 40
+	diffMaxValue = 200
+	diffTick     = int64(time.Millisecond)
+)
+
+type diffArm struct {
+	scheme  Scheme
+	mode    string // "mem", "wal" (DataDir) or "cold" (DataDir + ColdCompress)
+	shards  int
+	metrics bool
+}
+
+func (a diffArm) name() string {
+	m := "nometrics"
+	if a.metrics {
+		m = "metrics"
+	}
+	return fmt.Sprintf("%s/%s/shards%d/%s", a.scheme, a.mode, a.shards, m)
+}
+
+// diffEnt is the oracle's view of one live key.
+type diffEnt struct {
+	val   []byte
+	exp   int64  // absolute deadline, unix nanos; 0 = never
+	seen  uint64 // version last observed by GetV; 0 = written since
+	floor uint64 // highest version observed on the key's shard before its last write
+}
+
+// diffRun is one arm's store, oracle and fingerprints.
+type diffRun struct {
+	t    *testing.T
+	arm  diffArm
+	opts Options
+	st   Store
+	rng  *rand.Rand
+	now  int64 // the injected clock, unix nanos
+
+	oracle map[string]*diffEnt
+	// ghost holds keys dropped for expiry and not written since. A range
+	// scan may still show them until something reaps them (documented on
+	// Ranger) — and see unchecked.
+	ghost map[string]bool
+	hi    map[int]uint64 // highest version observed per shard
+
+	out, cost hash.Hash64
+	log       []string
+}
+
+func diffClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrNotFound):
+		return "notfound"
+	case errors.Is(err, ErrCASMismatch):
+		return "cas"
+	case errors.Is(err, ErrTxnConflict):
+		return "conflict"
+	case errors.Is(err, ErrNotDurable):
+		return "notdurable"
+	case errors.Is(err, ErrNoScan):
+		return "noscan"
+	case errors.Is(err, ErrTooLarge):
+		return "toolarge"
+	case errors.Is(err, ErrEmptyKey):
+		return "emptykey"
+	case errors.Is(err, ErrIntegrity):
+		return "integrity"
+	}
+	return "other:" + err.Error()
+}
+
+func (r *diffRun) open() {
+	r.t.Helper()
+	if r.arm.metrics {
+		r.opts.Metrics = obs.NewRegistry()
+	}
+	st, err := Open(r.opts)
+	if err != nil {
+		r.t.Fatalf("open: %v", err)
+	}
+	r.st = st
+}
+
+func (r *diffRun) close() error {
+	return r.st.(Durable).Close()
+}
+
+func (r *diffRun) shardOf(key string) int {
+	if sh, ok := r.st.(Sharded); ok {
+		return sh.ShardFor([]byte(key))
+	}
+	return 0
+}
+
+// live returns key's oracle entry, dropping it first if its deadline
+// has passed.
+func (r *diffRun) live(key string) *diffEnt {
+	e := r.oracle[key]
+	if e != nil && e.exp != 0 && r.now >= e.exp {
+		delete(r.oracle, key)
+		r.ghost[key] = true
+		return nil
+	}
+	return e
+}
+
+// unchecked reports whether key's reads are exempt from the oracle. A
+// lazily reaped key leaves no WAL record and no tombstone, so under
+// ColdCompress an incremental segment set can resurface an older version
+// of it after a reopen — a defect of the decorator stack that the op path
+// preserves (CHANGES.md, PR 13). Until its next write such a key may read
+// as absent or as present; either way the outcome folds into the
+// fingerprint, which pins that both commits do the same.
+func (r *diffRun) unchecked(key string) bool {
+	return r.arm.mode == "cold" && r.ghost[key] && r.oracle[key] == nil
+}
+
+func (r *diffRun) wrote(key string, val []byte, exp int64) {
+	r.oracle[key] = &diffEnt{val: val, exp: exp, floor: r.hi[r.shardOf(key)]}
+	delete(r.ghost, key)
+}
+
+func (r *diffRun) key() string { return fmt.Sprintf("k%03d", r.rng.Intn(diffKeys)) }
+
+// keys draws n distinct keys.
+func (r *diffRun) keys(n int) []string {
+	seen := map[string]bool{}
+	var out []string
+	for len(out) < n {
+		if k := r.key(); !seen[k] {
+			seen[k] = true
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+func (r *diffRun) value() []byte {
+	words := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
+	var b bytes.Buffer
+	for n := 8 + r.rng.Intn(110); b.Len() < n; {
+		b.WriteString(words[r.rng.Intn(len(words))])
+		b.WriteByte(byte('0' + r.rng.Intn(10)))
+	}
+	return b.Bytes()
+}
+
+// note records one op's outcome in the log and the outcome fingerprint,
+// then folds the deterministic Stats fields into the cost fingerprint.
+func (r *diffRun) note(format string, args ...any) {
+	line := fmt.Sprintf(format, args...)
+	fmt.Fprintln(r.out, line)
+	s := r.st.Stats()
+	costs := fmt.Sprintf("cyc=%d ecall=%d ocall=%d mac=%d ctr=%d swap=%d batch=%d walrec=%d walbytes=%d fsync=%d ttlexp=%d coldhit=%d",
+		s.SimCycles, s.Ecalls, s.Ocalls, s.MACs, s.CTROps, s.PageSwaps, s.Batches,
+		s.WALRecords, s.WALBytes, s.WALFsyncs, s.TTLExpired, s.ColdHits)
+	fmt.Fprintln(r.cost, costs)
+	r.log = append(r.log, line+" | "+costs)
+}
+
+func (r *diffRun) fail(format string, args ...any) {
+	r.t.Helper()
+	r.t.Fatalf("op %d: %s", len(r.log), fmt.Sprintf(format, args...))
+}
+
+// expect fails unless err is of class want.
+func (r *diffRun) expect(what string, err error, want string) {
+	r.t.Helper()
+	if got := diffClass(err); got != want {
+		r.fail("%s: got %s (%v), want %s", what, got, err, want)
+	}
+}
+
+func (r *diffRun) checkValue(what, key string, got []byte, err error) {
+	r.t.Helper()
+	e := r.live(key)
+	if e == nil {
+		if !r.unchecked(key) || err != nil {
+			r.expect(what+" "+key, err, "notfound")
+		}
+		return
+	}
+	r.expect(what+" "+key, err, "ok")
+	if !bytes.Equal(got, e.val) {
+		r.fail("%s %s = %q, oracle has %q", what, key, got, e.val)
+	}
+}
+
+// observe runs GetV and checks value and version against the oracle:
+// an unwritten key keeps the version it was last seen at; a rewritten
+// one must be above everything its shard had handed out before.
+func (r *diffRun) observe(key string) uint64 {
+	r.t.Helper()
+	v, ver, err := r.st.GetV([]byte(key))
+	r.checkValue("GetV", key, v, err)
+	e := r.live(key)
+	if e == nil {
+		// ver is 0 unless an unchecked key resurfaced.
+		r.note("getv %s -> gone %q v%d", key, v, ver)
+		return ver
+	}
+	switch {
+	case ver == 0:
+		r.fail("GetV %s: live key at version 0", key)
+	case e.seen != 0 && ver != e.seen:
+		r.fail("GetV %s: version %d, but no write since it was seen at %d", key, ver, e.seen)
+	case e.seen == 0 && ver <= e.floor:
+		r.fail("GetV %s: version %d not above %d, handed out before the write", key, ver, e.floor)
+	}
+	e.seen = ver
+	if sh := r.shardOf(key); ver > r.hi[sh] {
+		r.hi[sh] = ver
+	}
+	r.note("getv %s -> %q v%d", key, v, ver)
+	return ver
+}
+
+func (r *diffRun) step() {
+	t := r.t
+	st := r.st
+	switch p := r.rng.Intn(100); {
+	case p < 13:
+		k, v := r.key(), r.value()
+		r.expect("Put", st.Put([]byte(k), v), "ok")
+		r.wrote(k, v, 0)
+		r.note("put %s", k)
+	case p < 27:
+		k := r.key()
+		v, err := st.Get([]byte(k))
+		r.checkValue("Get", k, v, err)
+		r.note("get %s -> %q %s", k, v, diffClass(err))
+	case p < 33:
+		k := r.key()
+		err := st.Delete([]byte(k))
+		if r.live(k) == nil {
+			if !r.unchecked(k) || err != nil {
+				r.expect("Delete absent "+k, err, "notfound")
+			}
+		} else {
+			r.expect("Delete "+k, err, "ok")
+			delete(r.oracle, k)
+		}
+		r.note("delete %s -> %s", k, diffClass(err))
+	case p < 40:
+		r.observe(r.key())
+	case p < 48:
+		k, v := r.key(), r.value()
+		ver := r.observe(k)
+		if r.rng.Intn(3) == 0 {
+			// A stale or invented version must lose and change nothing.
+			err := st.CompareAndSwap([]byte(k), v, ver+1+uint64(r.rng.Intn(3)))
+			r.expect("stale CAS "+k, err, "cas")
+			r.note("cas-stale %s", k)
+			break
+		}
+		r.expect("CAS "+k, st.CompareAndSwap([]byte(k), v, ver), "ok")
+		r.wrote(k, v, 0)
+		r.note("cas %s at v%d", k, ver)
+	case p < 56:
+		k, v := r.key(), r.value()
+		ttl := time.Duration(int64(r.rng.Intn(40)-2) * diffTick) // sometimes <= 0: a plain put
+		r.expect("PutTTL", st.PutTTL([]byte(k), v, ttl), "ok")
+		var exp int64
+		if ttl > 0 {
+			exp = r.now + int64(ttl)
+		}
+		r.wrote(k, v, exp)
+		r.note("putttl %s ttl=%d", k, ttl)
+	case p < 61:
+		r.now += int64(1+r.rng.Intn(15)) * diffTick
+		r.note("advance -> %d", r.now)
+	case p < 67:
+		ks := r.keys(1 + r.rng.Intn(6))
+		vals, errs := st.MGet(diffBytes(ks))
+		if len(vals) != len(ks) || (errs != nil && len(errs) != len(ks)) {
+			r.fail("MGet: %d vals, %d errs for %d keys", len(vals), len(errs), len(ks))
+		}
+		for i, k := range ks {
+			var err error
+			if errs != nil {
+				err = errs[i]
+			}
+			r.checkValue("MGet", k, vals[i], err)
+		}
+		r.note("mget %v -> %q", ks, vals)
+	case p < 73:
+		ks := r.keys(1 + r.rng.Intn(6))
+		pairs := make([]KV, len(ks))
+		for i, k := range ks {
+			pairs[i] = KV{Key: []byte(k), Value: r.value()}
+		}
+		big := -1
+		if r.rng.Intn(4) == 0 {
+			// One oversized value fails at its position; the rest commit.
+			big = r.rng.Intn(len(pairs))
+			pairs[big].Value = bytes.Repeat([]byte("x"), diffMaxValue+1)
+		}
+		errs := st.MPut(pairs)
+		for i, k := range ks {
+			var err error
+			if errs != nil {
+				err = errs[i]
+			}
+			if i == big {
+				r.expect("MPut oversized "+k, err, "toolarge")
+				continue
+			}
+			r.expect("MPut "+k, err, "ok")
+			r.wrote(k, pairs[i].Value, 0)
+		}
+		r.note("mput %v big=%d", ks, big)
+	case p < 76:
+		ks := r.keys(1 + r.rng.Intn(5))
+		errs := st.MDelete(diffBytes(ks))
+		for i, k := range ks {
+			var err error
+			if errs != nil {
+				err = errs[i]
+			}
+			if r.live(k) == nil {
+				if !r.unchecked(k) || err != nil {
+					r.expect("MDelete absent "+k, err, "notfound")
+				}
+			} else {
+				r.expect("MDelete "+k, err, "ok")
+				delete(r.oracle, k)
+			}
+		}
+		r.note("mdelete %v -> %v", ks, diffClasses(errs, len(ks)))
+	case p < 86:
+		r.txn()
+	case p < 89:
+		r.scan()
+	case p < 93:
+		err := st.(Durable).Checkpoint()
+		if r.arm.mode == "mem" {
+			r.expect("Checkpoint", err, "notdurable")
+		} else {
+			r.expect("Checkpoint", err, "ok")
+		}
+		r.note("checkpoint -> %s", diffClass(err))
+	case p < 95:
+		if r.arm.mode == "mem" {
+			r.note("reopen skipped")
+			break
+		}
+		if err := r.close(); err != nil {
+			t.Fatalf("op %d: close: %v", len(r.log), err)
+		}
+		r.open()
+		r.note("reopen")
+		r.verifyAll()
+	case p < 97:
+		r.expect("VerifyIntegrity", st.VerifyIntegrity(), "ok")
+		r.note("verify")
+	case p < 99:
+		k := r.key()
+		err := st.Put([]byte(k), bytes.Repeat([]byte("y"), diffMaxValue+1))
+		r.expect("oversized Put", err, "toolarge")
+		r.note("put-oversized %s", k)
+	default:
+		r.expect("empty-key Put", st.Put(nil, []byte("v")), "emptykey")
+		r.note("put-emptykey")
+	}
+}
+
+// diffClasses is diffClass over a positional error slice (nil = all ok).
+func diffClasses(errs []error, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		var err error
+		if errs != nil {
+			err = errs[i]
+		}
+		out[i] = diffClass(err)
+	}
+	return out
+}
+
+func diffBytes(ks []string) [][]byte {
+	out := make([][]byte, len(ks))
+	for i, k := range ks {
+		out[i] = []byte(k)
+	}
+	return out
+}
+
+// txn commits a random transaction: version-checked reads, puts, TTL
+// puts and deletes, on one shard or across shards, with a stale check
+// planted one time in four. A conflict must apply nothing.
+func (r *diffRun) txn() {
+	ks := r.keys(2 + r.rng.Intn(4))
+	if r.rng.Intn(2) == 0 {
+		// Single-shard: keep only the keys that route with the first.
+		same := []string{ks[0]}
+		for _, k := range ks[1:] {
+			if r.shardOf(k) == r.shardOf(ks[0]) {
+				same = append(same, k)
+			}
+		}
+		ks = same
+	}
+	stale := r.rng.Intn(4) == 0
+	ops := make([]TxnOp, len(ks))
+	kinds := make([]byte, len(ks)) // r = read-only, d = delete, t = TTL put, p = put
+	checked := false
+	for i, k := range ks {
+		op := TxnOp{Key: []byte(k)}
+		switch kinds[i] = "rdtp"[r.rng.Intn(4)]; kinds[i] {
+		case 'r':
+			op.ReadOnly = true
+		case 'd':
+			op.Delete = true
+		case 't':
+			op.Value = r.value()
+			op.TTL = time.Duration(int64(1+r.rng.Intn(30)) * diffTick)
+		default:
+			op.Value = r.value()
+		}
+		if op.ReadOnly || r.rng.Intn(2) == 0 {
+			op.Check = true
+			op.Version = r.observe(k)
+			if stale && !checked {
+				op.Version += 1 + uint64(r.rng.Intn(2))
+			}
+			checked = true
+		}
+		ops[i] = op
+	}
+	err := r.st.TxnCommit(ops)
+	if stale && checked {
+		r.expect("stale TxnCommit", err, "conflict")
+		r.note("txn-conflict %v %s", ks, kinds)
+		return
+	}
+	r.expect("TxnCommit", err, "ok")
+	for i, k := range ks {
+		switch op := ops[i]; {
+		case op.ReadOnly:
+		case op.Delete:
+			if r.live(k) != nil {
+				delete(r.oracle, k)
+			}
+		default:
+			var exp int64
+			if op.TTL > 0 {
+				exp = r.now + int64(op.TTL)
+			}
+			r.wrote(k, op.Value, exp)
+		}
+	}
+	r.note("txn %v %s", ks, kinds)
+}
+
+// scan checks a full ordered scan against the oracle on the ordered
+// scheme, and the typed refusal everywhere else.
+func (r *diffRun) scan() {
+	var got []string
+	err := r.st.(Ranger).Scan(nil, nil, func(k, v []byte) bool {
+		got = append(got, string(k)+"="+string(v))
+		return true
+	})
+	if r.arm.scheme != AriaBPTree {
+		r.expect("Scan", err, "noscan")
+		r.note("scan -> noscan")
+		return
+	}
+	r.expect("Scan", err, "ok")
+	if !sort.StringsAreSorted(got) {
+		r.fail("Scan out of order: %v", got)
+	}
+	var want, kept []string
+	for k := range r.oracle {
+		if e := r.live(k); e != nil {
+			want = append(want, k+"="+string(e.val))
+		}
+	}
+	sort.Strings(want)
+	for _, kv := range got {
+		if k, _, _ := strings.Cut(kv, "="); r.ghost[k] && r.oracle[k] == nil {
+			continue // expired, not yet reaped: allowed, not required
+		}
+		kept = append(kept, kv)
+	}
+	if strings.Join(kept, ",") != strings.Join(want, ",") {
+		r.fail("Scan = %v, oracle has %v", kept, want)
+	}
+	r.note("scan -> %d live", len(want))
+}
+
+// verifyAll reads the whole keyspace back, values and versions.
+func (r *diffRun) verifyAll() {
+	for i := 0; i < diffKeys; i++ {
+		r.observe(fmt.Sprintf("k%03d", i))
+	}
+}
+
+func TestStackDifferential(t *testing.T) {
+	for _, scheme := range []Scheme{AriaHash, AriaBPTree, ShieldStoreScheme, BaselineHash} {
+		for _, mode := range []string{"mem", "wal", "cold"} {
+			for _, shards := range []int{1, 4} {
+				for _, metrics := range []bool{false, true} {
+					arm := diffArm{scheme, mode, shards, metrics}
+					t.Run(arm.name(), func(t *testing.T) {
+						t.Parallel()
+						runStackDiff(t, arm)
+					})
+				}
+			}
+		}
+	}
+}
+
+func runStackDiff(t *testing.T, arm diffArm) {
+	r := &diffRun{
+		t: t, arm: arm,
+		rng:    rand.New(rand.NewSource(20210419)),
+		now:    time.Date(2021, 4, 19, 0, 0, 0, 0, time.UTC).UnixNano(),
+		oracle: map[string]*diffEnt{},
+		ghost:  map[string]bool{},
+		hi:     map[int]uint64{},
+		out:    fnv.New64a(),
+		cost:   fnv.New64a(),
+	}
+	r.opts = Options{
+		Scheme:               arm.scheme,
+		EPCBytes:             4 << 20,
+		ExpectedKeys:         256,
+		ShieldStoreRootBytes: 64 << 10,
+		MaxValueSize:         diffMaxValue,
+		Shards:               arm.shards,
+		Seed:                 77,
+		CompactEvery:         3,
+		Now:                  func() time.Time { return time.Unix(0, r.now) },
+	}
+	if arm.mode != "mem" {
+		r.opts.DataDir = t.TempDir()
+		r.opts.ColdCompress = arm.mode == "cold"
+	}
+	r.open()
+	defer func() { _ = r.close() }()
+	for i := 0; i < diffOps; i++ {
+		r.step()
+	}
+	r.verifyAll()
+	r.expect("final VerifyIntegrity", r.st.VerifyIntegrity(), "ok")
+
+	got := [2]uint64{r.out.Sum64(), r.cost.Sum64()}
+	if arm.mode == "cold" {
+		got[1] = 0 // segment checkpoints read in map order: cycles not repeatable
+	}
+	if want, ok := stackDiffGolden[arm.name()]; !ok || got != want {
+		path := filepath.Join(os.TempDir(), "aria-stackdiff-"+strings.ReplaceAll(arm.name(), "/", "_")+".log")
+		_ = os.WriteFile(path, []byte(strings.Join(r.log, "\n")+"\n"), 0o644)
+		t.Errorf("fingerprint mismatch (golden %#x, recorded=%v); per-op log in %s — diff it against the same file from the parent commit. Got:\n\t%q: {%#x, %#x},",
+			want, ok, path, arm.name(), got[0], got[1])
+	}
+}
+
+// stackDiffGolden holds each arm's {outcome, cost} fingerprints,
+// recorded on commit d29f68d (the decorator stack). Cost is 0 where it
+// is not pinned (see the file comment).
+var stackDiffGolden = map[string][2]uint64{
+	"aria-bp/cold/shards1/metrics":       {0x8734e9512f3eb7ea, 0x0},
+	"aria-bp/cold/shards1/nometrics":     {0x8734e9512f3eb7ea, 0x0},
+	"aria-bp/cold/shards4/metrics":       {0xd854c518e6ccece3, 0x0},
+	"aria-bp/cold/shards4/nometrics":     {0xd854c518e6ccece3, 0x0},
+	"aria-bp/mem/shards1/metrics":        {0x9e08ac1300ce6f89, 0x7fcc5333e1dbe54a},
+	"aria-bp/mem/shards1/nometrics":      {0x9e08ac1300ce6f89, 0x7fcc5333e1dbe54a},
+	"aria-bp/mem/shards4/metrics":        {0x13a1043f0683fdbd, 0xde394b076ff841e2},
+	"aria-bp/mem/shards4/nometrics":      {0x13a1043f0683fdbd, 0xde394b076ff841e2},
+	"aria-bp/wal/shards1/metrics":        {0x8734e9512f3eb7ea, 0x1ea5adff6386744c},
+	"aria-bp/wal/shards1/nometrics":      {0x8734e9512f3eb7ea, 0x1ea5adff6386744c},
+	"aria-bp/wal/shards4/metrics":        {0xcf6922bb13f15d12, 0x112764abca7340ea},
+	"aria-bp/wal/shards4/nometrics":      {0xcf6922bb13f15d12, 0x112764abca7340ea},
+	"aria-h/cold/shards1/metrics":        {0x307db71fc4e3e159, 0x0},
+	"aria-h/cold/shards1/nometrics":      {0x307db71fc4e3e159, 0x0},
+	"aria-h/cold/shards4/metrics":        {0xc8ea5fba720edcb1, 0x0},
+	"aria-h/cold/shards4/nometrics":      {0xc8ea5fba720edcb1, 0x0},
+	"aria-h/mem/shards1/metrics":         {0x331890502fd4955e, 0x49994dc50b49e98b},
+	"aria-h/mem/shards1/nometrics":       {0x331890502fd4955e, 0x49994dc50b49e98b},
+	"aria-h/mem/shards4/metrics":         {0x54c570c7d4b485ad, 0xba9f9c199dc316bd},
+	"aria-h/mem/shards4/nometrics":       {0x54c570c7d4b485ad, 0xba9f9c199dc316bd},
+	"aria-h/wal/shards1/metrics":         {0x307db71fc4e3e159, 0x78c0a7df00da61d4},
+	"aria-h/wal/shards1/nometrics":       {0x307db71fc4e3e159, 0x78c0a7df00da61d4},
+	"aria-h/wal/shards4/metrics":         {0x10ec781d5fcff22e, 0xbcaa87123fa47b70},
+	"aria-h/wal/shards4/nometrics":       {0x10ec781d5fcff22e, 0xbcaa87123fa47b70},
+	"baseline-h/cold/shards1/metrics":    {0x307db71fc4e3e159, 0x0},
+	"baseline-h/cold/shards1/nometrics":  {0x307db71fc4e3e159, 0x0},
+	"baseline-h/cold/shards4/metrics":    {0xc8ea5fba720edcb1, 0x0},
+	"baseline-h/cold/shards4/nometrics":  {0xc8ea5fba720edcb1, 0x0},
+	"baseline-h/mem/shards1/metrics":     {0x331890502fd4955e, 0x4f17a7665982fe61},
+	"baseline-h/mem/shards1/nometrics":   {0x331890502fd4955e, 0x4f17a7665982fe61},
+	"baseline-h/mem/shards4/metrics":     {0x54c570c7d4b485ad, 0x2411946de1359d0c},
+	"baseline-h/mem/shards4/nometrics":   {0x54c570c7d4b485ad, 0x2411946de1359d0c},
+	"baseline-h/wal/shards1/metrics":     {0x307db71fc4e3e159, 0x5653ef162f0e78e9},
+	"baseline-h/wal/shards1/nometrics":   {0x307db71fc4e3e159, 0x5653ef162f0e78e9},
+	"baseline-h/wal/shards4/metrics":     {0x10ec781d5fcff22e, 0x4cf705bad18453e9},
+	"baseline-h/wal/shards4/nometrics":   {0x10ec781d5fcff22e, 0x4cf705bad18453e9},
+	"shieldstore/cold/shards1/metrics":   {0x307db71fc4e3e159, 0x0},
+	"shieldstore/cold/shards1/nometrics": {0x307db71fc4e3e159, 0x0},
+	"shieldstore/cold/shards4/metrics":   {0xc8ea5fba720edcb1, 0x0},
+	"shieldstore/cold/shards4/nometrics": {0xc8ea5fba720edcb1, 0x0},
+	"shieldstore/mem/shards1/metrics":    {0x331890502fd4955e, 0x1cea7e4a65ba5d1a},
+	"shieldstore/mem/shards1/nometrics":  {0x331890502fd4955e, 0x1cea7e4a65ba5d1a},
+	"shieldstore/mem/shards4/metrics":    {0x54c570c7d4b485ad, 0xfcfa3fe91f532b0c},
+	"shieldstore/mem/shards4/nometrics":  {0x54c570c7d4b485ad, 0xfcfa3fe91f532b0c},
+	"shieldstore/wal/shards1/metrics":    {0x307db71fc4e3e159, 0xf050a7ed7e97740b},
+	"shieldstore/wal/shards1/nometrics":  {0x307db71fc4e3e159, 0xf050a7ed7e97740b},
+	"shieldstore/wal/shards4/metrics":    {0x10ec781d5fcff22e, 0x93ec7d59e5589852},
+	"shieldstore/wal/shards4/nometrics":  {0x10ec781d5fcff22e, 0x93ec7d59e5589852},
+}
