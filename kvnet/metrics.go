@@ -13,16 +13,26 @@ import (
 // metric catalogue lives in docs/OPERATIONS.md; the parity test keeps
 // the two in sync.
 
-// opNames maps wire op codes to metric label values.
-var opNames = [opMDelete + 1]string{
-	opGet:     "get",
-	opPut:     "put",
-	opDelete:  "delete",
-	opStats:   "stats",
-	opScan:    "scan",
-	opMGet:    "mget",
-	opMPut:    "mput",
-	opMDelete: "mdelete",
+// opNames maps wire op codes to metric label values: one entry per
+// request/response opcode, on either side. Both instrument sets are
+// sized and registered from it. The stream opcodes (subscribe, ack,
+// catch-up, invalidation, hello) are not requests and have no name.
+var opNames = [opTxnCommit + 1]string{
+	opGet:              "get",
+	opPut:              "put",
+	opDelete:           "delete",
+	opStats:            "stats",
+	opScan:             "scan",
+	opMGet:             "mget",
+	opMPut:             "mput",
+	opMDelete:          "mdelete",
+	opCheckpoint:       "checkpoint",
+	opSnapshotTransfer: "snapshot",
+	opReplStatus:       "repl_status",
+	opGetV:             "getv",
+	opCAS:              "cas",
+	opPutTTL:           "putttl",
+	opTxnCommit:        "txn",
 }
 
 // Server-side metric family names.
@@ -64,9 +74,9 @@ const (
 // valid and turns every method into a no-op, so call sites never branch
 // on whether metrics are enabled.
 type serverMetrics struct {
-	requests [opMDelete + 1]*obs.Counter
-	duration [opMDelete + 1]*obs.Histogram
-	batchSz  [opMDelete + 1]*obs.Histogram // batch ops only
+	requests [len(opNames)]*obs.Counter
+	duration [len(opNames)]*obs.Histogram
+	batchSz  [len(opNames)]*obs.Histogram // batch ops only
 
 	bytesRead    *obs.Counter
 	bytesWritten *obs.Counter
@@ -121,8 +131,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		taggedPushes: reg.Counter(metricSrvTaggedPush,
 			"Frames pushed to clients on stream tags (replication records, heartbeats, invalidations).", nil),
 	}
-	for op := byte(opGet); op <= opMDelete; op++ {
-		l := obs.Labels{"op": opNames[op]}
+	for op, name := range opNames {
+		if name == "" {
+			continue
+		}
+		l := obs.Labels{"op": name}
 		m.requests[op] = reg.Counter(metricSrvRequests,
 			"Requests served, by operation.", l)
 		m.duration[op] = reg.Histogram(metricSrvDuration,
@@ -282,9 +295,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // clientMetrics holds the client's instruments; nil is a no-op set, same
 // contract as serverMetrics.
 type clientMetrics struct {
-	requests [opMDelete + 1]*obs.Counter
-	duration [opMDelete + 1]*obs.Histogram
-	batchSz  [opMDelete + 1]*obs.Histogram // batch ops only
+	requests [len(opNames)]*obs.Counter
+	duration [len(opNames)]*obs.Histogram
+	batchSz  [len(opNames)]*obs.Histogram // batch ops only
 
 	retries *obs.Counter
 	redials *obs.Counter
@@ -306,8 +319,11 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 		splits: reg.Counter(metricCliSplits,
 			"Extra requests produced by splitting oversized batches.", nil),
 	}
-	for op := byte(opGet); op <= opMDelete; op++ {
-		l := obs.Labels{"op": opNames[op]}
+	for op, name := range opNames {
+		if name == "" {
+			continue
+		}
+		l := obs.Labels{"op": name}
 		m.requests[op] = reg.Counter(metricCliRequests,
 			"Client operations completed (any outcome), by operation.", l)
 		m.duration[op] = reg.Histogram(metricCliDuration,
@@ -339,7 +355,7 @@ func (m *clientMetrics) batchSplit(n int) {
 // request records one completed client operation, retries and backoff
 // included — the latency the caller actually experienced.
 func (m *clientMetrics) request(op byte, ns uint64) {
-	if m == nil {
+	if m == nil || int(op) >= len(m.requests) || m.requests[op] == nil {
 		return
 	}
 	m.requests[op].Inc()

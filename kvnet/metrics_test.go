@@ -188,3 +188,67 @@ func TestMetricsShedAndRetry(t *testing.T) {
 		t.Errorf("%s{op=get} = %v, want 1 (one operation, three attempts)", metricCliRequests, got)
 	}
 }
+
+// TestMetricsEveryClientOp issues every client operation once with
+// Metrics set on both sides and requires each one's request counter to
+// move on both: every request/response opcode has an entry in opNames,
+// and neither side may index its instrument arrays past it. (The client
+// used to panic on Checkpoint, GetV, CompareAndSwap, PutTTL and
+// TxnCommit, and the server silently dropped the same ops.)
+func TestMetricsEveryClientOp(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := startServerConfig(t, openStore(t), ServerConfig{Metrics: reg})
+	cli, err := DialConfig(waitAddr(t, srv), ClientConfig{Metrics: reg, Retry: NoRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	k, v := []byte("k"), []byte("v")
+	// Outcomes are beside the point (this server has no DataDir and no
+	// replication, so two of these are refused): a refused request is
+	// still a request.
+	issued := map[string]func(){
+		"put":         func() { _ = cli.Put(k, v) },
+		"get":         func() { _, _ = cli.Get(k) },
+		"delete":      func() { _ = cli.Delete(k) },
+		"stats":       func() { _, _ = cli.Stats() },
+		"scan":        func() { _ = cli.Scan(nil, nil, 0, func(_, _ []byte) bool { return true }) },
+		"mget":        func() { _, _ = cli.MGet([][]byte{k}) },
+		"mput":        func() { _ = cli.MPut([]aria.KV{{Key: k, Value: v}}) },
+		"mdelete":     func() { _ = cli.MDelete([][]byte{k}) },
+		"checkpoint":  func() { _ = cli.Checkpoint() },
+		"repl_status": func() { _, _ = cli.ReplStatus() },
+		"getv":        func() { _, _, _ = cli.GetV(k) },
+		"cas":         func() { _ = cli.CompareAndSwap(k, v, 0) },
+		"putttl":      func() { _ = cli.PutTTL(k, v, time.Minute) },
+		"txn":         func() { _ = cli.TxnCommit([]aria.TxnOp{{Key: k, Value: v}}) },
+	}
+	for _, name := range opNames {
+		// The snapshot transfer runs on its own connection (DialSnapshot),
+		// not through a Client.
+		if _, ok := issued[name]; !ok && name != "" && name != "snapshot" {
+			t.Errorf("opNames has %q but the test issues no such op", name)
+		}
+	}
+	for name, do := range issued {
+		do()
+		if got, _ := reg.Snapshot().Value(metricCliRequests, obs.Labels{"op": name}); got != 1 {
+			t.Errorf("%s{op=%s} = %v after one %s, want 1", metricCliRequests, name, got, name)
+		}
+		// The server counts a request after writing its response, so the
+		// client can be a moment ahead of it.
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			got, _ := reg.Snapshot().Value(metricSrvRequests, obs.Labels{"op": name})
+			if got == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("%s{op=%s} = %v after one %s, want 1", metricSrvRequests, name, got, name)
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
