@@ -31,7 +31,6 @@ package aria
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/ariakv/aria/internal/baseline"
@@ -195,56 +194,6 @@ const (
 	// instance should be retired and re-attested.
 	HealthFailed HealthState = "failed"
 )
-
-// integrityGuard implements the store-level integrity-failure policy. It
-// observes every operation's outcome, latches detected violations, and
-// (under Quarantine) poisons tampered keys.
-type integrityGuard struct {
-	policy   IntegrityPolicy
-	mu       sync.Mutex
-	failures uint64
-	poisoned map[string]struct{}
-}
-
-// pre short-circuits operations on quarantined keys before any untrusted
-// state is touched.
-func (g *integrityGuard) pre(key []byte) error {
-	if g.policy != Quarantine {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, bad := g.poisoned[string(key)]; bad {
-		return fmt.Errorf("%w: %w", ErrIntegrity, ErrQuarantined)
-	}
-	return nil
-}
-
-// observe records an operation's outcome. Key may be nil for whole-store
-// operations (audits, scans), which are counted but cannot be poisoned.
-func (g *integrityGuard) observe(key []byte, err error) error {
-	if err == nil || !errors.Is(err, ErrIntegrity) {
-		return err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.failures++
-	if g.policy == Quarantine && len(key) > 0 {
-		if g.poisoned == nil {
-			g.poisoned = make(map[string]struct{})
-		}
-		g.poisoned[string(key)] = struct{}{}
-	}
-	return err
-}
-
-func (g *integrityGuard) fill(st *Stats) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st.IntegrityPolicy = g.policy
-	st.IntegrityFailures = g.failures
-	st.QuarantinedKeys = len(g.poisoned)
-}
 
 // Options configures a store. Zero values get paper defaults.
 type Options struct {
@@ -605,10 +554,6 @@ func Open(opts Options) (Store, error) {
 	if opts.Shards > 1 {
 		return openSharded(opts)
 	}
-	st, err := openStore(opts)
-	if err != nil {
-		return nil, err
-	}
 	if opts.DataDir != "" {
 		// Refuse to open a directory that a sharded store claimed: its
 		// manifest records Shards > 1, and recovering only the top-level
@@ -616,15 +561,12 @@ func Open(opts Options) (Store, error) {
 		if err := checkShardManifest(opts.DataDir, opts.Seed, 1); err != nil {
 			return nil, err
 		}
-		st, err = openDurable(st, opts, opts.DataDir)
-		if err != nil {
-			return nil, err
-		}
 	}
-	if opts.Metrics != nil {
-		return meter(st, opts.Metrics, "0"), nil
+	s, err := openShard(opts, opts.DataDir, "0")
+	if err != nil {
+		return nil, err
 	}
-	return st, nil
+	return s, nil
 }
 
 // optsWithDefaults fills zero values with the paper defaults. It runs on
@@ -657,8 +599,51 @@ func optsWithDefaults(opts Options) Options {
 	return opts
 }
 
-// openStore builds one single-enclave store from already-filled options.
-func openStore(opts Options) (Store, error) {
+// engine is the seam between a shard and the scheme it runs: the five
+// calls every scheme serves. Everything else a Store does — versions,
+// expiry, batching, durability, the cold tier, metrics — is the shard's
+// (shard.go) and is written once for all schemes.
+type engine interface {
+	Put(key, value []byte) error
+	Get(key []byte) ([]byte, error)
+	Delete(key []byte) error
+	VerifyIntegrity() error
+	Keys() int
+}
+
+// engineErrs is one scheme's sentinel errors, in the order mapErr
+// translates them to the public ones. A nil entry never matches: the
+// baselines keep everything in the EPC, where hardware protects it, and
+// have no software integrity failure to report.
+type engineErrs struct{ notFound, integrity, tooLarge, emptyKey error }
+
+var (
+	coreErrs     = engineErrs{core.ErrNotFound, core.ErrIntegrity, core.ErrTooLarge, core.ErrEmptyKey}
+	shieldErrs   = engineErrs{shieldstore.ErrNotFound, shieldstore.ErrIntegrity, shieldstore.ErrTooLarge, shieldstore.ErrEmptyKey}
+	baselineErrs = engineErrs{baseline.ErrNotFound, nil, baseline.ErrTooLarge, baseline.ErrEmptyKey}
+)
+
+// mapErr translates the engine's sentinel errors to the public ones,
+// keeping an integrity failure's original as context.
+func (t *engineErrs) mapErr(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, t.notFound):
+		return ErrNotFound
+	case t.integrity != nil && errors.Is(err, t.integrity):
+		return fmt.Errorf("%w: %v", ErrIntegrity, err)
+	case errors.Is(err, t.tooLarge):
+		return ErrTooLarge
+	case errors.Is(err, t.emptyKey):
+		return ErrEmptyKey
+	}
+	return err
+}
+
+// openEngine builds the selected scheme inside a fresh simulated enclave
+// and hands it to a new shard.
+func openEngine(opts Options) (*shard, error) {
 	costs := sgx.DefaultCosts()
 	if opts.WithoutSGX {
 		costs = sgx.InsecureCosts()
@@ -668,6 +653,7 @@ func openStore(opts Options) (Store, error) {
 		Costs:      costs,
 		MeasureOff: opts.MeasureOff,
 	})
+	s := &shard{scheme: opts.Scheme, enc: enc}
 	switch opts.Scheme {
 	case AriaHash, AriaTree, AriaBPTree, NoCacheHash, NoCacheTree:
 		co := core.Options{
@@ -701,10 +687,9 @@ func openStore(opts Options) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newSemStore(&coreStore{e: e, enc: enc, scheme: opts.Scheme,
-			g: integrityGuard{policy: opts.IntegrityPolicy}}, opts), nil
+		s.eng, s.core, s.errs = e, e, coreErrs
 	case ShieldStoreScheme:
-		s, err := shieldstore.New(enc, shieldstore.Options{
+		e, err := shieldstore.New(enc, shieldstore.Options{
 			RootBudgetBytes: opts.ShieldStoreRootBytes,
 			MaxKeySize:      opts.MaxKeySize,
 			MaxValueSize:    opts.MaxValueSize,
@@ -713,10 +698,9 @@ func openStore(opts Options) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newSemStore(&shieldStore{s: s, enc: enc,
-			g: integrityGuard{policy: opts.IntegrityPolicy}}, opts), nil
+		s.eng, s.errs = e, shieldErrs
 	case BaselineHash, BaselineTree:
-		s, err := baseline.New(enc, baseline.Options{
+		e, err := baseline.New(enc, baseline.Options{
 			ExpectedKeys: opts.ExpectedKeys,
 			BucketLoad:   opts.BucketLoad,
 			Tree:         opts.Scheme == BaselineTree,
@@ -727,200 +711,11 @@ func openStore(opts Options) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newSemStore(&baseStore{s: s, enc: enc, scheme: opts.Scheme,
-			g: integrityGuard{policy: opts.IntegrityPolicy}}, opts), nil
+		s.eng, s.errs = e, baselineErrs
+	default:
+		return nil, fmt.Errorf("aria: unknown scheme %v", opts.Scheme)
 	}
-	return nil, fmt.Errorf("aria: unknown scheme %v", opts.Scheme)
-}
-
-// mapErr translates internal sentinel errors to the public ones while
-// preserving the original as wrapped context.
-func mapErr(err error, notFound, integrity, tooLarge, emptyKey error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, notFound):
-		return ErrNotFound
-	case errors.Is(err, integrity):
-		return fmt.Errorf("%w: %v", ErrIntegrity, err)
-	case errors.Is(err, tooLarge):
-		return ErrTooLarge
-	case errors.Is(err, emptyKey):
-		return ErrEmptyKey
-	}
-	return err
-}
-
-// ---- Aria / Aria w/o Cache ----------------------------------------------------
-
-type coreStore struct {
-	e      *core.Engine
-	enc    *sgx.Enclave
-	scheme Scheme
-	g      integrityGuard
-}
-
-func (c *coreStore) mapErr(err error) error {
-	return mapErr(err, core.ErrNotFound, core.ErrIntegrity, core.ErrTooLarge, core.ErrEmptyKey)
-}
-
-func (c *coreStore) Put(key, value []byte) error {
-	if err := c.g.pre(key); err != nil {
-		return err
-	}
-	return c.g.observe(key, c.mapErr(c.e.Put(key, value)))
-}
-
-func (c *coreStore) Get(key []byte) ([]byte, error) {
-	if err := c.g.pre(key); err != nil {
-		return nil, err
-	}
-	v, err := c.e.Get(key)
-	if err = c.g.observe(key, c.mapErr(err)); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func (c *coreStore) Delete(key []byte) error {
-	if err := c.g.pre(key); err != nil {
-		return err
-	}
-	return c.g.observe(key, c.mapErr(c.e.Delete(key)))
-}
-
-func (c *coreStore) VerifyIntegrity() error { return c.g.observe(nil, c.mapErr(c.e.VerifyIntegrity())) }
-
-func (c *coreStore) SetMeasuring(on bool) { c.enc.SetMeasuring(on) }
-
-func (c *coreStore) ResetStats() { c.enc.ResetStats() }
-
-func (c *coreStore) Stats() Stats {
-	es := c.e.Stats()
-	st := baseStats(c.scheme, c.enc)
-	st.Gets, st.Puts, st.Deletes = es.Gets, es.Puts, es.Deletes
-	st.Keys = es.Keys
-	st.CacheHits = es.Cache.Hits
-	st.CacheMisses = es.Cache.Misses
-	if es.Cache.Lookups > 0 {
-		st.CacheHitRatio = float64(es.Cache.Hits) / float64(es.Cache.Lookups)
-	}
-	st.StopSwap = es.Cache.StopSwap
-	st.PinnedLevels = es.Cache.PinnedLevels
-	c.g.fill(&st)
-	return st
-}
-
-// ---- ShieldStore ---------------------------------------------------------------
-
-type shieldStore struct {
-	s   *shieldstore.Store
-	enc *sgx.Enclave
-	g   integrityGuard
-}
-
-func (s *shieldStore) mapErr(err error) error {
-	return mapErr(err, shieldstore.ErrNotFound, shieldstore.ErrIntegrity,
-		shieldstore.ErrTooLarge, shieldstore.ErrEmptyKey)
-}
-
-func (s *shieldStore) Put(key, value []byte) error {
-	if err := s.g.pre(key); err != nil {
-		return err
-	}
-	return s.g.observe(key, s.mapErr(s.s.Put(key, value)))
-}
-
-func (s *shieldStore) Get(key []byte) ([]byte, error) {
-	if err := s.g.pre(key); err != nil {
-		return nil, err
-	}
-	v, err := s.s.Get(key)
-	if err = s.g.observe(key, s.mapErr(err)); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func (s *shieldStore) Delete(key []byte) error {
-	if err := s.g.pre(key); err != nil {
-		return err
-	}
-	return s.g.observe(key, s.mapErr(s.s.Delete(key)))
-}
-
-func (s *shieldStore) VerifyIntegrity() error {
-	return s.g.observe(nil, s.mapErr(s.s.VerifyIntegrity()))
-}
-
-func (s *shieldStore) SetMeasuring(on bool) { s.enc.SetMeasuring(on) }
-
-func (s *shieldStore) ResetStats() { s.enc.ResetStats() }
-
-func (s *shieldStore) Stats() Stats {
-	st := baseStats(ShieldStoreScheme, s.enc)
-	st.Keys = s.s.Keys()
-	s.g.fill(&st)
-	return st
-}
-
-// ---- Baseline -------------------------------------------------------------------
-
-// baseStore keeps everything in the EPC: hardware protects it, so the
-// integrity guard is inert — it exists only so Stats reports the policy
-// uniformly across schemes.
-type baseStore struct {
-	s      *baseline.Store
-	enc    *sgx.Enclave
-	scheme Scheme
-	g      integrityGuard
-}
-
-func (b *baseStore) mapErr(err error) error {
-	return mapErr(err, baseline.ErrNotFound, errNever, baseline.ErrTooLarge, baseline.ErrEmptyKey)
-}
-
-// errNever is a sentinel that never matches: baseline stores are protected
-// by hardware and have no software integrity failure mode.
-var errNever = errors.New("never")
-
-func (b *baseStore) Put(key, value []byte) error { return b.mapErr(b.s.Put(key, value)) }
-
-func (b *baseStore) Get(key []byte) ([]byte, error) {
-	v, err := b.s.Get(key)
-	return v, b.mapErr(err)
-}
-
-func (b *baseStore) Delete(key []byte) error { return b.mapErr(b.s.Delete(key)) }
-
-func (b *baseStore) VerifyIntegrity() error { return b.s.VerifyTree() }
-
-func (b *baseStore) SetMeasuring(on bool) { b.enc.SetMeasuring(on) }
-
-func (b *baseStore) ResetStats() { b.enc.ResetStats() }
-
-func (b *baseStore) Stats() Stats {
-	st := baseStats(b.scheme, b.enc)
-	st.Keys = b.s.Keys()
-	b.g.fill(&st)
-	return st
-}
-
-func baseStats(scheme Scheme, enc *sgx.Enclave) Stats {
-	es := enc.Stats()
-	return Stats{
-		Scheme:       scheme,
-		SimCycles:    es.Cycles,
-		SimSeconds:   enc.Seconds(),
-		PageSwaps:    es.PageSwaps,
-		Ecalls:       es.Ecalls,
-		Ocalls:       es.Ocalls,
-		MACs:         es.MACs,
-		CTROps:       es.CTROps,
-		Batches:      es.Batches,
-		BatchedKeys:  es.BatchedOps,
-		EPCUsedBytes: enc.EPCUsedBytes(),
-	}
+	return s, nil
 }
 
 // Ranger is implemented by stores whose index keeps keys ordered and can
@@ -931,19 +726,6 @@ type Ranger interface {
 	// The slices passed to fn are only valid during the call.
 	Scan(start, end []byte, fn func(key, value []byte) bool) error
 }
-
-// Scan implements Ranger for engine-backed stores; non-ordered indexes
-// return ErrNoScan. Integrity failures mid-scan are counted by the guard
-// but cannot be attributed to one key, so nothing is quarantined.
-func (c *coreStore) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	err := c.e.Scan(start, end, fn)
-	if errors.Is(err, core.ErrNoScan) {
-		return ErrNoScan
-	}
-	return c.g.observe(nil, c.mapErr(err))
-}
-
-// ---- fault injection -------------------------------------------------------------
 
 // Corrupter is implemented by stores whose untrusted memory can be modified
 // in place, emulating a malicious host. It exists for security
@@ -961,52 +743,6 @@ type Corrupter interface {
 	RestoreUntrusted(snap []byte)
 }
 
-func (c *coreStore) UntrustedSize() int { return c.enc.UntrustedUsedBytes() }
-
-func (c *coreStore) FlipUntrustedByte(offset int, mask byte) bool {
-	if offset < 0 || offset >= c.enc.UntrustedUsedBytes() {
-		return false
-	}
-	c.enc.UBytesRaw(sgx.UPtr(offset), 1)[0] ^= mask
-	return true
-}
-
-func (c *coreStore) SnapshotUntrusted() []byte {
-	n := c.enc.UntrustedUsedBytes()
-	return append([]byte(nil), c.enc.UBytesRaw(sgx.UPtr(0), n)...)
-}
-
-func (c *coreStore) RestoreUntrusted(snap []byte) {
-	n := c.enc.UntrustedUsedBytes()
-	if len(snap) < n {
-		n = len(snap)
-	}
-	copy(c.enc.UBytesRaw(sgx.UPtr(0), n), snap[:n])
-}
-
-func (s *shieldStore) UntrustedSize() int { return s.enc.UntrustedUsedBytes() }
-
-func (s *shieldStore) FlipUntrustedByte(offset int, mask byte) bool {
-	if offset < 0 || offset >= s.enc.UntrustedUsedBytes() {
-		return false
-	}
-	s.enc.UBytesRaw(sgx.UPtr(offset), 1)[0] ^= mask
-	return true
-}
-
-func (s *shieldStore) SnapshotUntrusted() []byte {
-	n := s.enc.UntrustedUsedBytes()
-	return append([]byte(nil), s.enc.UBytesRaw(sgx.UPtr(0), n)...)
-}
-
-func (s *shieldStore) RestoreUntrusted(snap []byte) {
-	n := s.enc.UntrustedUsedBytes()
-	if len(snap) < n {
-		n = len(snap)
-	}
-	copy(s.enc.UBytesRaw(sgx.UPtr(0), n), snap[:n])
-}
-
 // EdgeCaller is implemented by stores backed by the simulated enclave; each
 // call charges one ECALL (enclave entry). Networked frontends (kvnet) call
 // it per request, modelling the edge-call cost a real deployment pays when
@@ -1015,9 +751,3 @@ type EdgeCaller interface {
 	// ChargeEcall charges the simulated enclave one ECALL entry cost.
 	ChargeEcall()
 }
-
-func (c *coreStore) ChargeEcall() { c.enc.Ecall() }
-
-func (s *shieldStore) ChargeEcall() { s.enc.Ecall() }
-
-func (b *baseStore) ChargeEcall() { b.enc.Ecall() }

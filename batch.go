@@ -8,11 +8,10 @@ package aria
 // crossings and boundary copies dominate small-operation workloads
 // (DESIGN.md §8 works through the accounting per scheme).
 //
-// Every scheme implements the batch natively via its own guarded single-op
-// path, so integrity policies (FailStop/Quarantine) apply per key inside a
-// batch exactly as they do outside one.
-
-import "github.com/ariakv/aria/internal/sgx"
+// The shard's batch paths (shard.go: mget, mwrite) run every key through
+// the same guarded engine call a single op uses, so integrity policies
+// (FailStop/Quarantine) apply per key inside a batch exactly as they do
+// outside one.
 
 // KV is one key/value pair of a batched MPut.
 type KV struct {
@@ -42,116 +41,4 @@ func batchErr(errs []error, n, i int, err error) []error {
 	}
 	errs[i] = err
 	return errs
-}
-
-// mgetNative runs a batched read against one enclave-backed store: one
-// BatchEnter/BatchExit bracket around per-key guarded Gets.
-func mgetNative(enc *sgx.Enclave, get func([]byte) ([]byte, error), keys [][]byte) ([][]byte, []error) {
-	req := batchHdrBytes
-	for _, k := range keys {
-		req += batchKeyHdrBytes + len(k)
-	}
-	enc.BatchEnter(len(keys), req)
-	vals := make([][]byte, len(keys))
-	var errs []error
-	resp := batchHdrBytes
-	for i, k := range keys {
-		v, err := get(k)
-		resp += batchRespPerValue + len(v)
-		if err != nil {
-			errs = batchErr(errs, len(keys), i, err)
-			continue
-		}
-		vals[i] = v
-	}
-	enc.BatchExit(resp)
-	return vals, errs
-}
-
-// mputNative runs a batched write: one edge bracket around per-pair guarded
-// Puts.
-func mputNative(enc *sgx.Enclave, put func(key, value []byte) error, pairs []KV) []error {
-	req := batchHdrBytes
-	for _, p := range pairs {
-		req += batchKeyHdrBytes + len(p.Key) + batchValHdrBytes + len(p.Value)
-	}
-	enc.BatchEnter(len(pairs), req)
-	var errs []error
-	for i, p := range pairs {
-		if err := put(p.Key, p.Value); err != nil {
-			errs = batchErr(errs, len(pairs), i, err)
-		}
-	}
-	enc.BatchExit(batchHdrBytes + len(pairs)*batchStatusBytes)
-	return errs
-}
-
-// mdeleteNative runs a batched delete: one edge bracket around per-key
-// guarded Deletes.
-func mdeleteNative(enc *sgx.Enclave, del func([]byte) error, keys [][]byte) []error {
-	req := batchHdrBytes
-	for _, k := range keys {
-		req += batchKeyHdrBytes + len(k)
-	}
-	enc.BatchEnter(len(keys), req)
-	var errs []error
-	for i, k := range keys {
-		if err := del(k); err != nil {
-			errs = batchErr(errs, len(keys), i, err)
-		}
-	}
-	enc.BatchExit(batchHdrBytes + len(keys)*batchStatusBytes)
-	return errs
-}
-
-// ---- Aria / Aria w/o Cache ----------------------------------------------------
-
-// MGet implements the batched read for Aria schemes: one simulated enclave
-// entry for the whole batch, per-key integrity enforcement inside.
-func (c *coreStore) MGet(keys [][]byte) ([][]byte, []error) {
-	return mgetNative(c.enc, c.Get, keys)
-}
-
-// MPut implements the batched write for Aria schemes.
-func (c *coreStore) MPut(pairs []KV) []error {
-	return mputNative(c.enc, c.Put, pairs)
-}
-
-// MDelete implements the batched delete for Aria schemes.
-func (c *coreStore) MDelete(keys [][]byte) []error {
-	return mdeleteNative(c.enc, c.Delete, keys)
-}
-
-// ---- ShieldStore ---------------------------------------------------------------
-
-// MGet implements the batched read for ShieldStore.
-func (s *shieldStore) MGet(keys [][]byte) ([][]byte, []error) {
-	return mgetNative(s.enc, s.Get, keys)
-}
-
-// MPut implements the batched write for ShieldStore.
-func (s *shieldStore) MPut(pairs []KV) []error {
-	return mputNative(s.enc, s.Put, pairs)
-}
-
-// MDelete implements the batched delete for ShieldStore.
-func (s *shieldStore) MDelete(keys [][]byte) []error {
-	return mdeleteNative(s.enc, s.Delete, keys)
-}
-
-// ---- Baseline -------------------------------------------------------------------
-
-// MGet implements the batched read for baseline schemes.
-func (b *baseStore) MGet(keys [][]byte) ([][]byte, []error) {
-	return mgetNative(b.enc, b.Get, keys)
-}
-
-// MPut implements the batched write for baseline schemes.
-func (b *baseStore) MPut(pairs []KV) []error {
-	return mputNative(b.enc, b.Put, pairs)
-}
-
-// MDelete implements the batched delete for baseline schemes.
-func (b *baseStore) MDelete(keys [][]byte) []error {
-	return mdeleteNative(b.enc, b.Delete, keys)
 }

@@ -1,8 +1,8 @@
 package aria
 
 // The cold tier (Options.ColdCompress; DESIGN.md §15). Two mechanisms
-// share the same compressor (internal/compress) and bolt onto the
-// durable store:
+// share the same compressor (internal/compress) and hang off the
+// durable stages of the op path:
 //
 //  1. Segment checkpoints. Instead of re-sealing the whole keyspace
 //     into a snapshot on every checkpoint, the store writes an
@@ -18,11 +18,11 @@ package aria
 //  2. Cold demotion. After each checkpoint, keys that were not touched
 //     since the previous one are compressed and moved out of the
 //     enclave-resident store into an untrusted cold area (modelled by
-//     d.cold), shrinking resident bytes — index, Secure Cache and heap
-//     pressure — so the EPC covers a larger hot set. Any later access
-//     promotes the key back (decompress-on-miss) with its exact
-//     version and expiry restored, so CAS/TTL/transaction semantics
-//     are oblivious to demotion.
+//     the coldRec hanging off the key's row), shrinking resident bytes
+//     — index, Secure Cache and heap pressure — so the EPC covers a
+//     larger hot set. Any later access promotes the key back
+//     (decompress-on-miss); its version and expiry never left the row,
+//     so CAS/TTL/transaction semantics are oblivious to demotion.
 //
 // Every byte that crosses the trust boundary is charged to the
 // simulator: ChargeCompress/ChargeDecompress for the codec work, CTR +
@@ -46,22 +46,42 @@ import (
 // is left zero.
 const defaultCompactEvery = 8
 
-// coldRec is one demoted key: its value compressed under the demotion
-// round's dictionary, plus the semantics-layer metadata that must
-// survive the round trip exactly (a promoted key with a different
-// version would break CAS; a lost deadline would break TTL).
+// coldRec is one demoted value, compressed under its demotion round's
+// dictionary. The key's version and deadline stay in its table row.
 type coldRec struct {
 	comp   []byte
 	rawLen int
-	ver    uint64
-	exp    int64
 	raw    bool // value stored uncompressed (dictionary did not help)
 	dict   *compress.Dict
 }
 
+// coldTier is one shard's cold-tier bookkeeping.
+type coldTier struct {
+	compactEvery int
+	keys         int    // rows currently demoted
+	resident     int    // compressed bytes held in the cold area
+	dictBytes    int    // serialized size of the newest dictionary
+	hits         uint64 // accesses promoted out of the cold tier
+	misses       uint64 // read lookups past the cold tier that found nothing
+	compRaw      uint64 // compressor input bytes (demotions + segments)
+	compOut      uint64 // compressor output bytes
+	compactions  uint64 // major compactions (full set rewrites)
+}
+
+func (c *coldTier) fill(st *Stats) {
+	st.ColdKeys = c.keys
+	st.ColdBytes = c.resident
+	st.ColdHits = c.hits
+	st.ColdMisses = c.misses
+	st.CompRawBytes = c.compRaw
+	st.CompBytes = c.compOut
+	st.CompDictBytes = c.dictBytes
+	st.Compactions = c.compactions
+}
+
 // coldValue decodes one cold record back to its raw value, charging the
 // decompression and the boundary copy of the compressed bytes.
-func (d *durableStore) coldValue(rec coldRec) ([]byte, error) {
+func (s *shard) coldValue(rec *coldRec) ([]byte, error) {
 	value := rec.comp
 	if !rec.raw {
 		v, err := rec.dict.Decompress(rec.comp, rec.rawLen)
@@ -73,172 +93,105 @@ func (d *durableStore) coldValue(rec coldRec) ([]byte, error) {
 		}
 		value = v
 	}
-	if d.enc != nil {
-		d.enc.SealIn(len(rec.comp) + seal.Overhead)
-		d.enc.ChargeCTR(len(rec.comp))
-		d.enc.ChargeMAC(len(rec.comp) + seal.Overhead)
-		if !rec.raw {
-			d.enc.ChargeDecompress(rec.rawLen)
-		}
+	s.enc.SealIn(len(rec.comp) + seal.Overhead)
+	s.enc.ChargeCTR(len(rec.comp))
+	s.enc.ChargeMAC(len(rec.comp) + seal.Overhead)
+	if !rec.raw {
+		s.enc.ChargeDecompress(rec.rawLen)
 	}
 	return value, nil
 }
 
-// ensureResidentLocked promotes key out of the cold tier if it was
-// demoted, restoring its exact value, version, and expiry into the
-// inner store. Every key-touching operation calls this first, so the
-// rest of the durable layer never observes a demoted key. countMiss is
-// set on read paths so ColdMisses means "read fell past the cold tier",
-// not "fresh key inserted". Callers hold d.mu.
-func (d *durableStore) ensureResidentLocked(key []byte, countMiss bool) error {
-	if !d.coldCompress {
+// promote is the cold-residency stage: it marks key touched and, if the
+// key was demoted, puts its value back into the engine. Every
+// key-touching operation runs it first, so the later stages never see a
+// demoted key. countMiss is set on read paths so ColdMisses means "read
+// fell past the cold tier", not "fresh key inserted".
+func (s *shard) promote(key []byte, countMiss bool) error {
+	if s.cold == nil {
 		return nil
 	}
-	d.touched[string(key)] = struct{}{}
-	rec, ok := d.cold[string(key)]
-	if !ok {
-		if countMiss {
-			if _, live := d.keys[string(key)]; !live {
-				d.coldMisses++
-			}
+	r := s.recs[string(key)]
+	if r.cold == nil {
+		if countMiss && !r.live {
+			s.cold.misses++
+		}
+		// Only a live key can be demoted, so only a live key needs the mark.
+		if r.live && !r.touched {
+			r.touched = true
+			s.recs[string(key)] = r
 		}
 		return nil
 	}
-	value, err := d.coldValue(rec)
+	value, err := s.coldValue(r.cold)
 	if err != nil {
 		return err
 	}
-	if err := d.inner.(semantic).restorePair(key, value, rec.ver, rec.exp); err != nil {
+	if err := s.enginePut(key, value); err != nil {
 		return fmt.Errorf("aria: promote cold key: %w", err)
 	}
-	d.coldHits++
-	d.coldResident -= len(rec.comp)
-	delete(d.cold, string(key))
+	s.cold.hits++
+	s.cold.keys--
+	s.cold.resident -= len(r.cold.comp)
+	r.cold, r.touched = nil, true
+	s.recs[string(key)] = r
 	return nil
 }
 
-// ensureResidentRangeLocked promotes every cold key in [start, end)
-// (nil end = unbounded) so a Scan over the inner store sees the whole
-// keyspace. Callers hold d.mu.
-func (d *durableStore) ensureResidentRangeLocked(start, end []byte) error {
-	if !d.coldCompress || len(d.cold) == 0 {
+// promoteRange promotes every cold key in [start, end) (nil end =
+// unbounded), in key order, so a Scan over the engine sees the whole
+// keyspace.
+func (s *shard) promoteRange(start, end []byte) error {
+	if s.cold == nil || s.cold.keys == 0 {
 		return nil
 	}
 	var hit []string
-	for k := range d.cold {
-		if string(start) <= k && (end == nil || k < string(end)) {
+	for k, r := range s.recs {
+		if r.cold != nil && string(start) <= k && (end == nil || k < string(end)) {
 			hit = append(hit, k)
 		}
 	}
 	sort.Strings(hit)
 	for _, k := range hit {
-		if err := d.ensureResidentLocked([]byte(k), false); err != nil {
+		if err := s.promote([]byte(k), false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// valueOfLocked reads one live key's value and metadata wherever it
-// resides — inner store or cold tier — without changing its residency.
-// The checkpoint writer uses it so a checkpoint does not promote the
-// whole keyspace. Callers hold d.mu.
-func (d *durableStore) valueOfLocked(k string) (value []byte, ver uint64, exp int64, err error) {
-	if rec, ok := d.cold[k]; ok {
-		v, cerr := d.coldValue(rec)
-		return v, rec.ver, rec.exp, cerr
+// valueOf reads one live key's value and row wherever it resides —
+// engine or cold tier — without changing its residency, so a checkpoint
+// does not promote the whole keyspace.
+func (s *shard) valueOf(k string) ([]byte, keyRec, error) {
+	if r := s.recs[k]; r.cold != nil {
+		v, err := s.coldValue(r.cold)
+		return v, r, err
 	}
-	v, err := d.inner.Get([]byte(k))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	ver, exp = d.inner.(semantic).metaOf([]byte(k))
-	return v, ver, exp, nil
+	return s.get([]byte(k))
 }
 
-// noteWrite records a committed write in the shadow key set and, when
-// the cold tier is on, in the dirty set the next incremental checkpoint
-// persists. Callers hold d.mu.
-func (d *durableStore) noteWrite(k string) {
-	d.keys[k] = struct{}{}
-	if d.coldCompress {
-		d.dirty[k] = struct{}{}
-		d.touched[k] = struct{}{}
-	}
-}
-
-// noteDelete records a committed delete; the dirty set entry becomes a
-// tombstone in the next segment. Callers hold d.mu.
-func (d *durableStore) noteDelete(k string) {
-	delete(d.keys, k)
-	if d.coldCompress {
-		d.dirty[k] = struct{}{}
-		d.touched[k] = struct{}{}
-		if rec, ok := d.cold[k]; ok {
-			d.coldResident -= len(rec.comp)
-			delete(d.cold, k)
-		}
-	}
-}
-
-// chargeSegmentWrite prices sealing one segment out of the enclave:
-// compression of the raw payload, one CTR+CMAC per sealed record
-// (header with dictionary, each block, trailer), the boundary copy of
-// the whole file, and the fsync OCALL.
-func (d *durableStore) chargeSegmentWrite(meta segment.Meta) {
-	if d.enc == nil {
-		return
-	}
-	d.enc.ChargeCompress(int(meta.RawBytes))
-	d.enc.ChargeCTR(meta.DictBytes + 32)
-	d.enc.ChargeMAC(meta.DictBytes + 32 + seal.Overhead)
+// chargeSegment prices one segment crossing the boundary: one CTR+CMAC
+// per sealed record (header with dictionary, each block, trailer).
+func (s *shard) chargeSegment(meta segment.Meta) {
+	s.enc.ChargeCTR(meta.DictBytes + 32)
+	s.enc.ChargeMAC(meta.DictBytes + 32 + seal.Overhead)
 	for _, n := range meta.BlockBytes {
-		d.enc.ChargeCTR(n)
-		d.enc.ChargeMAC(n + seal.Overhead)
+		s.enc.ChargeCTR(n)
+		s.enc.ChargeMAC(n + seal.Overhead)
 	}
-	d.enc.ChargeCTR(11)
-	d.enc.ChargeMAC(11 + seal.Overhead)
-	d.enc.SealOut(int(meta.FileBytes))
-	d.enc.Ocall() // the segment fsync
+	s.enc.ChargeCTR(11)
+	s.enc.ChargeMAC(11 + seal.Overhead)
 }
 
-// chargeSegmentRead prices the mirror image: unsealing and
-// decompressing one segment during recovery.
-func (d *durableStore) chargeSegmentRead(meta segment.Meta) {
-	if d.enc == nil {
-		return
-	}
-	d.enc.SealIn(int(meta.FileBytes))
-	d.enc.ChargeCTR(meta.DictBytes + 32)
-	d.enc.ChargeMAC(meta.DictBytes + 32 + seal.Overhead)
-	for _, n := range meta.BlockBytes {
-		d.enc.ChargeCTR(n)
-		d.enc.ChargeMAC(n + seal.Overhead)
-	}
-	d.enc.ChargeCTR(11)
-	d.enc.ChargeMAC(11 + seal.Overhead)
-	d.enc.ChargeDecompress(int(meta.RawBytes))
-}
-
-// chargeSetWrite prices publishing one set manifest.
-func (d *durableStore) chargeSetWrite(bytes int64) {
-	if d.enc == nil {
-		return
-	}
-	n := int(bytes)
-	d.enc.ChargeCTR(n)
-	d.enc.ChargeMAC(n)
-	d.enc.SealOut(n)
-	d.enc.Ocall()
-}
-
-// checkpointColdLocked is the segment-set checkpoint (the ColdCompress
-// branch of checkpointLocked): rotate the WAL so the boundary aligns
-// with a segment boundary, write one segment — incremental (dirty keys
-// + tombstones) or, when the set is full, a compaction of every live
-// key — publish the new set manifest, prune the generation before the
-// previous one, and demote keys that have gone cold. Callers hold d.mu.
-func (d *durableStore) checkpointColdLocked() error {
+// checkpointCold is the segment-set checkpoint (the ColdCompress branch
+// of checkpoint): rotate the WAL so the boundary aligns with a segment
+// boundary, write one segment — incremental (dirty keys + tombstones)
+// or, when the set is full, a compaction of every live key — publish the
+// new set manifest, prune the generation before the previous one, and
+// demote keys that have gone cold. Callers hold the shard lock.
+func (s *shard) checkpointCold() error {
+	d, c := s.dur, s.cold
 	covered := d.log.NextSeq() - 1
 	if d.hasSet && covered == d.setCovered {
 		return nil // nothing logged since the last segment
@@ -246,53 +199,37 @@ func (d *durableStore) checkpointColdLocked() error {
 	if err := d.log.Rotate(); err != nil {
 		return fmt.Errorf("aria: checkpoint rotate: %w", err)
 	}
-	sm := d.inner.(semantic)
-	full := !d.hasSet || len(d.segNames) >= d.compactEvery
-	var col *segment.Collector
-	addLive := func(col *segment.Collector, k string) error {
-		v, ver, exp, err := d.valueOfLocked(k)
+	full := !d.hasSet || len(d.segNames) >= c.compactEvery
+	col := segment.NewCollector(d.liveKeys)
+	for k, r := range s.recs {
 		switch {
-		case err == nil:
-			col.Add([]byte(k), encodeSnapValue(v, ver, exp), false)
-		case errors.Is(err, ErrNotFound):
-			// The shadow set can briefly overapproximate; skip.
-		case errors.Is(err, ErrIntegrity) && d.policy == Quarantine:
-			// A poisoned key has no trustworthy value to persist.
-		default:
-			return fmt.Errorf("aria: checkpoint read %q: %w", k, err)
-		}
-		return nil
-	}
-	if full {
-		col = segment.NewCollector(len(d.keys))
-		for k := range d.keys {
-			if err := addLive(col, k); err != nil {
+		case r.live && (full || r.dirty):
+			v, r, err := s.valueOf(k)
+			if skip, err := s.unpersistable(k, err); err != nil {
 				return err
+			} else if !skip {
+				col.Add([]byte(k), encodeSnapValue(v, r.ver, r.exp), false)
 			}
-		}
-	} else {
-		col = segment.NewCollector(len(d.dirty))
-		for k := range d.dirty {
-			if _, live := d.keys[k]; !live {
-				col.Add([]byte(k), nil, true)
-				continue
-			}
-			if err := addLive(col, k); err != nil {
-				return err
-			}
+		case r.dirty && !full:
+			col.Add([]byte(k), nil, true) // deleted since the last segment
 		}
 	}
 	meta, err := col.Load(d.dir, d.sealer, covered)
 	if err != nil {
 		return fmt.Errorf("aria: write segment: %w", err)
 	}
-	d.chargeSegmentWrite(meta)
-	d.compRaw += uint64(meta.RawBytes)
-	d.compOut += uint64(meta.CompBytes)
-	d.dictBytes = meta.DictBytes
+	// Sealing the segment out: compression of the raw payload, the
+	// per-record crypto, the boundary copy of the whole file, the fsync.
+	s.enc.ChargeCompress(int(meta.RawBytes))
+	s.chargeSegment(meta)
+	s.enc.SealOut(int(meta.FileBytes))
+	s.enc.Ocall()
+	c.compRaw += uint64(meta.RawBytes)
+	c.compOut += uint64(meta.CompBytes)
+	c.dictBytes = meta.DictBytes
 	if full {
 		if d.hasSet {
-			d.compactions++
+			c.compactions++
 		}
 		d.segNames = []string{meta.Name}
 		d.segBytes = meta.FileBytes
@@ -300,11 +237,15 @@ func (d *durableStore) checkpointColdLocked() error {
 		d.segNames = append(d.segNames, meta.Name)
 		d.segBytes += meta.FileBytes
 	}
-	setBytes, err := segment.WriteSet(d.dir, d.sealer, covered, sm.clockVersion(), d.segNames)
+	setBytes, err := segment.WriteSet(d.dir, d.sealer, covered, s.vclock, d.segNames)
 	if err != nil {
 		return fmt.Errorf("aria: write segment set: %w", err)
 	}
-	d.chargeSetWrite(setBytes)
+	// Publishing the set manifest.
+	s.enc.ChargeCTR(int(setBytes))
+	s.enc.ChargeMAC(int(setBytes))
+	s.enc.SealOut(int(setBytes))
+	s.enc.Ocall()
 	// Retention mirrors the snapshot path, but a generation is a SET:
 	// prune keeps every segment a surviving manifest references, so
 	// carried-forward segments are not double-counted against the
@@ -327,114 +268,123 @@ func (d *durableStore) checkpointColdLocked() error {
 	d.setCovered, d.hasSet = covered, true
 	d.checkpoints++
 	d.sinceCkpt = 0
-	d.dirty = make(map[string]struct{})
-	d.demoteColdLocked()
-	d.touched = make(map[string]struct{})
+	s.demote()
 	return nil
 }
 
-// demoteColdLocked moves keys that were not touched since the previous
-// checkpoint out of the enclave-resident store into the compressed cold
+// demote closes a checkpoint epoch: it clears every row's dirty and
+// touched marks and moves the live, resident keys nobody touched since
+// the previous checkpoint out of the engine into the compressed cold
 // area. The round trains its own dictionary on the values it demotes
 // (each cold record keeps a reference, so earlier rounds' records stay
 // decodable), compresses, charges the seal-out of the compressed bytes,
 // and deletes the resident copy — which is what actually returns index,
-// heap, and Secure Cache space to the hot set. Callers hold d.mu.
-func (d *durableStore) demoteColdLocked() {
+// heap, and Secure Cache space to the hot set.
+func (s *shard) demote() {
 	var cands []string
-	for k := range d.keys {
-		if _, hot := d.touched[k]; hot {
-			continue
+	for k, r := range s.recs {
+		if r.live && !r.touched && r.cold == nil {
+			cands = append(cands, k)
 		}
-		if _, already := d.cold[k]; already {
-			continue
+		if r.dirty || r.touched {
+			if r.dirty, r.touched = false, false; r == (keyRec{}) {
+				delete(s.recs, k) // a deleted key's tombstone, now persisted
+			} else {
+				s.recs[k] = r
+			}
 		}
-		cands = append(cands, k)
-	}
-	if len(cands) == 0 {
-		return
 	}
 	sort.Strings(cands) // deterministic demotion order → deterministic costs
 	type pending struct {
-		k   string
-		v   []byte
-		ver uint64
-		exp int64
+		k string
+		v []byte
 	}
 	pend := make([]pending, 0, len(cands))
 	samples := make([][]byte, 0, len(cands))
-	sm := d.inner.(semantic)
 	for _, k := range cands {
-		v, err := d.inner.Get([]byte(k))
+		v, _, err := s.get([]byte(k))
 		if err != nil {
 			continue // expired, vanished, or poisoned: leave as-is
 		}
-		ver, exp := sm.metaOf([]byte(k))
-		pend = append(pend, pending{k, v, ver, exp})
+		pend = append(pend, pending{k, v})
 		samples = append(samples, v)
 	}
 	if len(pend) == 0 {
 		return
 	}
+	c := s.cold
 	dict := compress.Train(samples)
-	d.coldDict = dict
-	d.dictBytes = dict.Bytes()
-	for i := range pend {
-		p := &pend[i]
+	c.dictBytes = dict.Bytes()
+	for _, p := range pend {
 		comp := dict.Compress(nil, p.v)
 		raw := false
 		if len(comp) >= len(p.v) {
 			comp, raw = p.v, true
 		}
-		if d.enc != nil {
-			d.enc.ChargeCompress(len(p.v))
-			d.enc.SealOut(len(comp) + seal.Overhead)
-			d.enc.ChargeCTR(len(comp))
-			d.enc.ChargeMAC(len(comp) + seal.Overhead)
-		}
-		if err := d.inner.Delete([]byte(p.k)); err != nil {
+		s.enc.ChargeCompress(len(p.v))
+		s.enc.SealOut(len(comp) + seal.Overhead)
+		s.enc.ChargeCTR(len(comp))
+		s.enc.ChargeMAC(len(comp) + seal.Overhead)
+		if err := s.engineDelete([]byte(p.k)); err != nil {
 			continue // could not evict: the key simply stays resident
 		}
-		d.cold[p.k] = coldRec{comp: comp, rawLen: len(p.v), ver: p.ver, exp: p.exp, raw: raw, dict: dict}
-		d.coldResident += len(comp)
-		d.compRaw += uint64(len(p.v))
-		d.compOut += uint64(len(comp))
+		r := s.recs[p.k]
+		r.cold = &coldRec{comp: comp, rawLen: len(p.v), raw: raw, dict: dict}
+		s.recs[p.k] = r
+		c.keys++
+		c.resident += len(comp)
+		c.compRaw += uint64(len(p.v))
+		c.compOut += uint64(len(comp))
 	}
 }
 
-// recoverSegments finds the newest valid segment set in dir and loads
-// its merged state (members applied in order, tombstones shadowing).
-// Under Quarantine a tampered manifest or member counts a recovery
+// recoveredSet is a segment set's merged state (members applied in
+// order, tombstones shadowing) and identity.
+type recoveredSet struct {
+	state          map[string]segPairState
+	covered, clock uint64
+	names          []string
+	bytes          int64
+}
+
+// segPairState is one key's merged recovery state across a segment set.
+type segPairState struct {
+	value []byte
+	ver   uint64
+	exp   int64
+}
+
+// recoverSegments finds the newest valid segment set in d.dir and loads
+// it. Under Quarantine a tampered manifest or member counts a recovery
 // failure and falls back to the next older set; under FailStop it fails
 // the Open. ok is false when no usable set exists.
-func (d *durableStore) recoverSegments(dir string) (state map[string]segPairState, covered, clock uint64, names []string, bytes int64, ok bool, err error) {
-	sets, serr := segment.Sets(dir)
+func (s *shard) recoverSegments(d *durable) (set recoveredSet, ok bool, err error) {
+	sets, serr := segment.Sets(d.dir)
 	if serr != nil {
-		return nil, 0, 0, nil, 0, false, fmt.Errorf("aria: list segment sets: %w", serr)
+		return set, false, fmt.Errorf("aria: list segment sets: %w", serr)
 	}
 	for _, ref := range sets {
-		setCovered, setClock, members, rerr := segment.ReadSet(ref.Path, d.sealer)
+		covered, clock, members, rerr := segment.ReadSet(ref.Path, d.sealer)
 		if rerr != nil {
-			if d.policy != Quarantine {
-				return nil, 0, 0, nil, 0, false, fmt.Errorf("%w: %w", ErrIntegrity, rerr)
+			if s.policy != Quarantine {
+				return set, false, fmt.Errorf("%w: %w", ErrIntegrity, rerr)
 			}
 			d.recFailures++
 			continue
 		}
-		st := make(map[string]segPairState)
-		var total int64
+		set = recoveredSet{state: make(map[string]segPairState), covered: covered, clock: clock, names: members}
 		good := true
 		for _, name := range members {
-			meta, merr := segment.Read(filepath.Join(dir, name), d.sealer, func(p segment.Pair) error {
+			meta, merr := segment.Read(filepath.Join(d.dir, name), d.sealer, func(p segment.Pair) error {
 				if p.Tombstone {
-					delete(st, string(p.Key))
+					delete(set.state, string(p.Key))
 					return nil
 				}
 				value, ver, exp, derr := decodeSnapValue(p.Value)
 				if derr != nil {
 					return derr
 				}
-				st[string(p.Key)] = segPairState{
+				set.state[string(p.Key)] = segPairState{
 					value: append([]byte(nil), value...), ver: ver, exp: exp,
 				}
 				return nil
@@ -444,29 +394,25 @@ func (d *durableStore) recoverSegments(dir string) (state map[string]segPairStat
 				// crash artifact: the manifest is published only after its
 				// members are durable, so a vanished file means rollback.
 				if !errors.Is(merr, segment.ErrTampered) && !errors.Is(merr, fs.ErrNotExist) {
-					return nil, 0, 0, nil, 0, false, fmt.Errorf("aria: read segment: %w", merr)
+					return set, false, fmt.Errorf("aria: read segment: %w", merr)
 				}
-				if d.policy != Quarantine {
-					return nil, 0, 0, nil, 0, false, fmt.Errorf("%w: %w", ErrIntegrity, merr)
+				if s.policy != Quarantine {
+					return set, false, fmt.Errorf("%w: %w", ErrIntegrity, merr)
 				}
 				d.recFailures++
 				good = false
 				break
 			}
-			d.chargeSegmentRead(meta)
-			total += meta.FileBytes
+			// The mirror image of sealing it out: unseal, then decompress.
+			s.enc.SealIn(int(meta.FileBytes))
+			s.chargeSegment(meta)
+			s.enc.ChargeDecompress(int(meta.RawBytes))
+			set.bytes += meta.FileBytes
 		}
-		if !good {
-			continue // Quarantine: fall back to the previous generation
+		if good {
+			return set, true, nil
 		}
-		return st, setCovered, setClock, members, total, true, nil
+		// Quarantine: fall back to the previous generation.
 	}
-	return nil, 0, 0, nil, 0, false, nil
-}
-
-// segPairState is one key's merged recovery state across a segment set.
-type segPairState struct {
-	value []byte
-	ver   uint64
-	exp   int64
+	return set, false, nil
 }

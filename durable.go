@@ -1,22 +1,20 @@
 package aria
 
-// Durability: the sealed WAL + snapshot wrapper (DESIGN.md §10). A
-// store opened with Options.DataDir is wrapped in a durableStore that
-// logs every successful write to a sealed write-ahead log (package
-// wal), takes atomic sealed snapshots, and recovers the committed
-// state on Open. The wrapper sits between the scheme store and the
-// metrics wrapper:
+// Durability: the sealed WAL + checkpoint stages of the op path
+// (DESIGN.md §10). A shard opened with Options.DataDir logs every
+// successful write to a sealed write-ahead log (package wal), takes
+// atomic sealed snapshots — or, under ColdCompress, segment checkpoints
+// (cold.go) — and recovers the committed state on Open.
 //
-//	openStore → durableStore (DataDir != "") → meteredStore (Metrics != nil)
-//
-// Everything the wrapper persists leaves the enclave's trust boundary,
-// so each append charges the simulator the way real sealing would: the
-// AES-CTR encryption and CMAC of the record (ChargeCTR/ChargeMAC), one
-// OCALL plus the boundary copy of the sealed bytes (SealOut), and one
-// further OCALL per fsync the policy issues. Recovery charges the
-// mirror-image SealIn path. The cost accounting the paper's figures
-// rest on therefore stays honest when durability is on — and is
-// untouched when it is off, since Open never builds the wrapper then.
+// Everything persisted leaves the enclave's trust boundary, so each
+// append charges the simulator the way real sealing would: the AES-CTR
+// encryption and CMAC of the record (ChargeCTR/ChargeMAC), one OCALL
+// plus the boundary copy of the sealed bytes (SealOut), and one further
+// OCALL per fsync the policy issues. Recovery charges the mirror-image
+// SealIn path. The cost accounting the paper's figures rest on therefore
+// stays honest when durability is on — and is untouched when it is off,
+// since a shard without DataDir has no durable state and skips the
+// stages.
 
 import (
 	"encoding/binary"
@@ -24,19 +22,14 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"time"
 
-	"github.com/ariakv/aria/internal/compress"
 	"github.com/ariakv/aria/internal/seal"
-	"github.com/ariakv/aria/internal/sgx"
 	"github.com/ariakv/aria/wal"
 )
 
-// Durable is implemented by stores opened with Options.DataDir set
-// (and by the metrics and sharding wrappers above them, which pass
-// through — a sharded or metered store over non-durable shards returns
-// ErrNotDurable from Checkpoint and makes Close a no-op).
+// Durable is implemented by every store Open returns. Opened without
+// Options.DataDir there is no lineage: Checkpoint returns ErrNotDurable
+// and Close only stops the store's background goroutine, if it has one.
 type Durable interface {
 	// Checkpoint writes an atomic sealed snapshot of the keyspace
 	// (write-temp + rename), then truncates the WAL segments the
@@ -268,23 +261,14 @@ func decodeSnapValue(v []byte) (value []byte, ver uint64, exp int64, err error) 
 		int64(binary.LittleEndian.Uint64(v[cut+8:])), nil
 }
 
-// durableStore makes one single-enclave store crash-safe. All
-// operations (reads included) serialize on mu, because the background
-// checkpointer reads the inner store concurrently with live traffic
-// and the engines model a single enclave thread.
-type durableStore struct {
-	inner  Store
-	enc    *sgx.Enclave
-	policy IntegrityPolicy
-
-	mu     sync.Mutex
+// durable is one shard's WAL + checkpoint lineage.
+type durable struct {
 	log    *wal.Log
 	sealer *seal.Sealer
 	dir    string
-	// keys shadows the live key set: hash-indexed schemes cannot
-	// enumerate their contents, so the checkpointer iterates this set
-	// (sorted, for deterministic snapshots) and Gets each key.
-	keys            map[string]struct{}
+	// liveKeys counts the table rows with live set: the size of the
+	// shadow key set.
+	liveKeys        int
 	checkpointEvery int
 	sinceCkpt       int
 	// lastSnapCovered is the covered seq of the newest snapshot loaded
@@ -295,86 +279,78 @@ type durableStore struct {
 	// fall back to when the newest snapshot is tampered.
 	lastSnapCovered uint64
 	hasSnap         bool
-
-	// Cold tier state (Options.ColdCompress; see cold.go and DESIGN.md
-	// §15). dirty holds keys written since the last segment checkpoint
-	// (the next incremental segment's contents, deletes as tombstones);
-	// touched holds keys accessed since the last checkpoint (the
-	// demotion filter); cold holds the demoted keys themselves.
-	coldCompress bool
-	compactEvery int
-	cold         map[string]coldRec
-	coldDict     *compress.Dict
-	dirty        map[string]struct{}
-	touched      map[string]struct{}
-	segNames     []string // current segment set, apply order
-	segBytes     int64    // on-disk bytes of the current set
-	setCovered   uint64   // covered seq of the current set (valid when hasSet)
-	hasSet       bool
-	coldResident int    // compressed bytes held in the cold area
-	dictBytes    int    // serialized size of the newest dictionary
-	coldHits     uint64 // accesses promoted out of the cold tier
-	coldMisses   uint64 // read lookups past the cold tier that found nothing
-	compRaw      uint64 // compressor input bytes (demotions + segments)
-	compOut      uint64 // compressor output bytes
-	compactions  uint64 // major compactions (full set rewrites)
+	// The segment-set counterpart (cold.go): the current set in apply
+	// order, its on-disk bytes, and its covered seq (valid when hasSet).
+	// A lineage that turned ColdCompress off still recovers from a set.
+	segNames   []string
+	segBytes   int64
+	setCovered uint64
+	hasSet     bool
 
 	recovered   uint64 // records restored at Open (snapshot + replay)
 	recFailures uint64 // tamper detections during recovery (Quarantine)
 	checkpoints uint64
 	ckptErr     error // last background checkpoint failure
 
-	ckptC  chan struct{}
-	stopC  chan struct{}
-	wg     sync.WaitGroup
-	closed bool
-
-	// commitHook, when set, runs after every group of records commits
-	// to the WAL (still under d.mu); the replication publisher uses it
-	// to wake subscribers without polling.
+	// ckptC arms the background checkpointer; one pending signal is enough.
+	ckptC chan struct{}
+	// commitHook, when set, runs after every group of records commits to
+	// the WAL (still under the shard lock); the replication publisher
+	// uses it to wake subscribers without polling.
 	commitHook func()
 }
 
-// openDurable wraps inner with WAL + snapshot durability rooted at
-// dir, running crash recovery first: load the newest valid snapshot,
-// replay the WAL above it, stop cleanly at a torn tail, and route
-// tampering through the integrity policy — FailStop fails the Open
-// (wrapping ErrIntegrity, log left untouched as evidence), Quarantine
-// salvages the valid prefix, counts the failure, and serves degraded.
-func openDurable(inner Store, opts Options, dir string) (*durableStore, error) {
+func (d *durable) fill(st *Stats) {
+	ls := d.log.Stats()
+	st.WALAppends = ls.Appends
+	st.WALRecords = ls.Records
+	st.WALBytes = ls.Bytes
+	st.WALFsyncs = ls.Fsyncs
+	st.Checkpoints = d.checkpoints
+	st.RecoveredRecords = d.recovered
+	st.Segments = len(d.segNames)
+	st.SegmentBytes = d.segBytes
+	// Tampering found during recovery counts like tampering found live:
+	// it flips Health() to degraded under Quarantine.
+	st.IntegrityFailures += d.recFailures
+}
+
+// openDurable makes s durable, rooted at dir, running crash recovery
+// first: load the newest valid recovery point, replay the WAL above it,
+// stop cleanly at a torn tail, and route tampering through the integrity
+// policy — FailStop fails the Open (wrapping ErrIntegrity, log left
+// untouched as evidence), Quarantine salvages the valid prefix, counts
+// the failure, and serves degraded. s.dur is set only once recovery has
+// succeeded, so replay runs the op path with the logging stages off.
+func (s *shard) openDurable(opts Options, dir string) error {
 	if opts.MaxKeySize > maxWalKey {
-		return nil, fmt.Errorf("aria: Options.DataDir requires MaxKeySize <= %d (got %d): longer keys do not fit the WAL record framing", maxWalKey, opts.MaxKeySize)
+		return fmt.Errorf("aria: Options.DataDir requires MaxKeySize <= %d (got %d): longer keys do not fit the WAL record framing", maxWalKey, opts.MaxKeySize)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("aria: create data dir: %w", err)
+		return fmt.Errorf("aria: create data dir: %w", err)
 	}
-	d := &durableStore{
-		inner:           inner,
-		enc:             enclaveOf(inner),
-		policy:          opts.IntegrityPolicy,
+	d := &durable{
 		sealer:          seal.New(opts.Seed),
 		dir:             dir,
-		keys:            make(map[string]struct{}),
 		checkpointEvery: opts.CheckpointEvery,
-		coldCompress:    opts.ColdCompress,
-		compactEvery:    opts.CompactEvery,
 		ckptC:           make(chan struct{}, 1),
-		stopC:           make(chan struct{}),
 	}
-	if d.coldCompress {
-		if d.compactEvery <= 0 {
-			d.compactEvery = defaultCompactEvery
+	if opts.ColdCompress {
+		s.cold = &coldTier{compactEvery: opts.CompactEvery}
+		if s.cold.compactEvery <= 0 {
+			s.cold.compactEvery = defaultCompactEvery
 		}
-		d.cold = make(map[string]coldRec)
-		d.dirty = make(map[string]struct{})
-		d.touched = make(map[string]struct{})
 	}
-
-	// The semantics layer sits directly underneath: recovery restores
-	// its per-key versions and expiry deadlines alongside the values.
-	sm, ok := inner.(semantic)
-	if !ok {
-		return nil, fmt.Errorf("aria: durable store requires the semantics layer (got %T)", inner)
+	// restore reinstates one recovered pair with its recorded version and
+	// deadline, without advancing the version clock.
+	restore := func(key, value []byte, ver uint64, exp int64) error {
+		if err := s.enginePut(key, value); err != nil {
+			return err
+		}
+		s.stamp(key, ver, exp)
+		s.noteIn(d, key, true, false)
+		d.recovered++
+		return nil
 	}
 
 	// 1. Newest valid recovery point. A directory can hold both segment
@@ -384,9 +360,9 @@ func openDurable(inner Store, opts Options, dir string) (*durableStore, error) {
 	// Segment sets first: under Quarantine a tampered manifest or
 	// member counts a failure and falls back to the next older set;
 	// under FailStop it fails the Open.
-	segState, segCovered, segClock, segNames, segOnDisk, haveSeg, err := d.recoverSegments(dir)
+	set, haveSet, err := s.recoverSegments(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Then the newest valid snapshot — but only if it is newer than the
@@ -394,122 +370,110 @@ func openDurable(inner Store, opts Options, dir string) (*durableStore, error) {
 	// snapshot at or below the set's covered seq ends the search).
 	snaps, err := wal.Snapshots(dir)
 	if err != nil {
-		return nil, fmt.Errorf("aria: list snapshots: %w", err)
+		return fmt.Errorf("aria: list snapshots: %w", err)
 	}
 	coveredSeq := uint64(0)
-	usedSnap := false
 	for _, path := range snaps {
 		covered, pairs, rerr := wal.ReadSnapshot(path, d.sealer)
 		if rerr != nil {
 			if !errors.Is(rerr, wal.ErrTampered) {
-				return nil, fmt.Errorf("aria: read snapshot: %w", rerr)
+				return fmt.Errorf("aria: read snapshot: %w", rerr)
 			}
-			if d.policy != Quarantine {
-				return nil, fmt.Errorf("%w: %w", ErrIntegrity, rerr)
+			if s.policy != Quarantine {
+				return fmt.Errorf("%w: %w", ErrIntegrity, rerr)
 			}
 			d.recFailures++
 			continue
 		}
-		if haveSeg && covered <= segCovered {
+		if haveSet && covered <= set.covered {
 			break // the segment set is the newer recovery point
 		}
 		for _, p := range pairs {
 			if len(p.Key) == 0 {
 				// The synthetic version-clock pair (see snapMetaBytes).
 				if len(p.Value) != 8 {
-					return nil, errors.New("aria: snapshot version-clock pair malformed")
+					return errors.New("aria: snapshot version-clock pair malformed")
 				}
-				sm.setClockVersion(binary.LittleEndian.Uint64(p.Value))
-				d.chargeSealIn(len(p.Value) + 2)
+				s.vclock = max(s.vclock, binary.LittleEndian.Uint64(p.Value))
+				s.chargeSealIn(len(p.Value) + 2)
 				continue
 			}
 			value, ver, exp, derr := decodeSnapValue(p.Value)
 			if derr != nil {
-				return nil, fmt.Errorf("aria: restore snapshot pair: %w", derr)
+				return fmt.Errorf("aria: restore snapshot pair: %w", derr)
 			}
-			if err := sm.restorePair(p.Key, value, ver, exp); err != nil {
-				return nil, fmt.Errorf("aria: restore snapshot pair: %w", err)
+			if err := restore(p.Key, value, ver, exp); err != nil {
+				return fmt.Errorf("aria: restore snapshot pair: %w", err)
 			}
-			d.keys[string(p.Key)] = struct{}{}
-			d.chargeSealIn(len(p.Key) + len(p.Value) + 2)
-			d.recovered++
+			s.chargeSealIn(len(p.Key) + len(p.Value) + 2)
 		}
 		coveredSeq = covered
 		d.lastSnapCovered, d.hasSnap = covered, true
-		usedSnap = true
+		haveSet = false
 		break
 	}
-	if !usedSnap && haveSeg {
-		sm.setClockVersion(segClock)
-		segKeys := make([]string, 0, len(segState))
-		for k := range segState {
+	if haveSet {
+		s.vclock = max(s.vclock, set.clock)
+		segKeys := make([]string, 0, len(set.state))
+		for k := range set.state {
 			segKeys = append(segKeys, k)
 		}
 		sort.Strings(segKeys)
 		for _, k := range segKeys {
-			e := segState[k]
-			if err := sm.restorePair([]byte(k), e.value, e.ver, e.exp); err != nil {
-				return nil, fmt.Errorf("aria: restore segment pair: %w", err)
+			e := set.state[k]
+			if err := restore([]byte(k), e.value, e.ver, e.exp); err != nil {
+				return fmt.Errorf("aria: restore segment pair: %w", err)
 			}
-			d.keys[k] = struct{}{}
-			d.recovered++
 		}
-		coveredSeq = segCovered
-		d.segNames, d.segBytes = segNames, segOnDisk
-		d.setCovered, d.hasSet = segCovered, true
+		coveredSeq = set.covered
+		d.segNames, d.segBytes = set.names, set.bytes
+		d.setCovered, d.hasSet = set.covered, true
 	}
 
-	// 2. WAL replay above the snapshot.
+	// 2. WAL replay above the recovery point.
 	log, err := wal.Open(wal.Options{Dir: dir, Sealer: d.sealer, Fsync: opts.Fsync})
 	if err != nil {
-		return nil, fmt.Errorf("aria: open wal: %w", err)
+		return fmt.Errorf("aria: open wal: %w", err)
 	}
 	replay := func(seq uint64, payload []byte) error {
-		op, key, value, derr := decodeWalRecord(payload)
+		walOp, key, value, derr := decodeWalRecord(payload)
 		if derr != nil {
 			// An undecodable payload authenticated correctly, so it is
 			// a logic-level corruption, not tampering: fail regardless
 			// of policy rather than guess.
 			return derr
 		}
-		d.chargeSealIn(len(payload))
-		switch op {
-		case walOpPut:
-			if err := inner.Put(key, value); err != nil {
+		s.chargeSealIn(len(payload))
+		switch walOp {
+		case walOpPut, walOpPutTTL:
+			var exp int64
+			if walOp == walOpPutTTL {
+				if exp, value, derr = splitTTLBody(value); derr != nil {
+					return derr
+				}
+			}
+			if err := s.apply(op{kind: opKindPut, key: key, value: value, exp: exp}); err != nil {
 				return fmt.Errorf("aria: replay put: %w", err)
 			}
-			d.noteWrite(string(key))
+			s.noteIn(d, key, true, true)
 		case walOpDelete:
-			if err := inner.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
+			if err := s.apply(op{kind: opKindDelete, key: key}); err != nil && !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("aria: replay delete: %w", err)
 			}
-			d.noteDelete(string(key))
-		case walOpPutTTL:
-			exp, v, derr := splitTTLBody(value)
-			if derr != nil {
-				return derr
-			}
-			if err := sm.putExpireAbs(key, v, exp); err != nil {
-				return fmt.Errorf("aria: replay ttl put: %w", err)
-			}
-			d.noteWrite(string(key))
+			s.noteIn(d, key, false, true)
 		case walOpTxn:
 			writes, derr := decodeWalTxnBody(value)
 			if derr != nil {
 				return derr
 			}
-			if err := sm.applyTxnWrites(writes); err != nil {
+			if err := s.applyTxn(writes); err != nil {
 				return fmt.Errorf("aria: replay txn: %w", err)
 			}
 			for i := range writes {
-				if writes[i].del {
-					d.noteDelete(string(writes[i].key))
-				} else {
-					d.noteWrite(string(writes[i].key))
-				}
+				s.noteIn(d, writes[i].key, !writes[i].del, true)
 			}
 		default:
-			return fmt.Errorf("aria: unknown wal opcode %d", op)
+			return fmt.Errorf("aria: unknown wal opcode %d", walOp)
 		}
 		d.recovered++
 		return nil
@@ -518,91 +482,75 @@ func openDurable(inner Store, opts Options, dir string) (*durableStore, error) {
 	if err != nil {
 		if !errors.Is(err, wal.ErrTampered) {
 			log.Close()
-			return nil, err
+			return err
 		}
-		if d.policy != Quarantine {
+		if s.policy != Quarantine {
 			log.Close()
-			return nil, fmt.Errorf("%w: %w", ErrIntegrity, err)
+			return fmt.Errorf("%w: %w", ErrIntegrity, err)
 		}
 		// Quarantine: salvage the verified prefix and serve degraded.
 		// Records past the first tampered byte are untrusted and lost.
 		d.recFailures++
 		if terr := log.TruncateTail(); terr != nil {
 			log.Close()
-			return nil, fmt.Errorf("aria: salvage wal: %w", terr)
+			return fmt.Errorf("aria: salvage wal: %w", terr)
 		}
 	}
 	d.log = log
-
-	if d.checkpointEvery > 0 {
-		d.wg.Add(1)
-		go d.checkpointLoop()
-	}
-	return d, nil
+	s.dur = d
+	return nil
 }
 
-// checkpointLoop runs automatic checkpoints triggered by record count;
-// it is the only goroutine touching the store besides callers, and it
-// synchronizes on d.mu like everyone else.
-func (d *durableStore) checkpointLoop() {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-d.stopC:
-			return
-		case <-d.ckptC:
-			d.mu.Lock()
-			if !d.closed {
-				if err := d.checkpointLocked(); err != nil {
-					// Remembered, surfaced by Close; the next
-					// checkpoint retries, and the WAL still holds
-					// every record, so no durability is lost.
-					d.ckptErr = err
-				}
-			}
-			d.mu.Unlock()
+// note records a committed write in key's row: live joins (or a delete
+// leaves) the shadow key set and, under the cold tier, the row turns
+// dirty — the next incremental segment's contents, a delete as a
+// tombstone — and touched.
+func (s *shard) note(key []byte, live bool) { s.noteIn(s.dur, key, live, true) }
+
+// noteIn is note for recovery, which runs before s.dur is set; a pair
+// restored from a recovery point is live but not written since it
+// (written false).
+func (s *shard) noteIn(d *durable, key []byte, live, written bool) {
+	r := s.recs[string(key)]
+	if live != r.live {
+		r.live = live
+		if live {
+			d.liveKeys++
+		} else {
+			d.liveKeys--
 		}
 	}
-}
-
-// chargeAppend prices one durable append: seal crypto per record,
-// one boundary crossing for the group, one OCALL per fsync issued.
-func (d *durableStore) chargeAppend(payloadBytes []int, res wal.AppendResult) {
-	if d.enc == nil {
-		return
+	if s.cold != nil && written {
+		r.dirty, r.touched = true, true
 	}
-	for _, n := range payloadBytes {
-		d.enc.ChargeCTR(n)
-		d.enc.ChargeMAC(n + seal.Overhead)
-	}
-	d.enc.SealOut(res.Bytes)
-	for i := 0; i < res.Fsyncs; i++ {
-		d.enc.Ocall()
-	}
+	s.putRec(key, r)
 }
 
 // chargeSealIn prices unsealing one recovered record.
-func (d *durableStore) chargeSealIn(payloadBytes int) {
-	if d.enc == nil {
-		return
-	}
-	d.enc.SealIn(payloadBytes + seal.Overhead)
-	d.enc.ChargeCTR(payloadBytes)
-	d.enc.ChargeMAC(payloadBytes + seal.Overhead)
+func (s *shard) chargeSealIn(payloadBytes int) {
+	s.enc.SealIn(payloadBytes + seal.Overhead)
+	s.enc.ChargeCTR(payloadBytes)
+	s.enc.ChargeMAC(payloadBytes + seal.Overhead)
 }
 
 // logRecords appends the payloads as one group commit, charges the
-// simulator, and arms the automatic checkpointer.
-func (d *durableStore) logRecords(payloads ...[]byte) error {
-	sizes := make([]int, len(payloads))
-	for i, p := range payloads {
-		sizes[i] = len(p)
-	}
+// simulator — seal crypto per record, one boundary crossing for the
+// group, one OCALL per fsync issued — and arms the automatic
+// checkpointer.
+func (s *shard) logRecords(payloads ...[]byte) error {
+	d := s.dur
 	res, err := d.log.Append(payloads...)
 	if err != nil {
 		return fmt.Errorf("aria: wal append: %w", err)
 	}
-	d.chargeAppend(sizes, res)
+	for _, p := range payloads {
+		s.enc.ChargeCTR(len(p))
+		s.enc.ChargeMAC(len(p) + seal.Overhead)
+	}
+	s.enc.SealOut(res.Bytes)
+	for i := 0; i < res.Fsyncs; i++ {
+		s.enc.Ocall()
+	}
 	d.sinceCkpt += len(payloads)
 	if d.checkpointEvery > 0 && d.sinceCkpt >= d.checkpointEvery {
 		d.sinceCkpt = 0
@@ -617,379 +565,21 @@ func (d *durableStore) logRecords(payloads ...[]byte) error {
 	return nil
 }
 
-// WALShards implements Replicable: a single durable store is one
-// lineage.
-func (d *durableStore) WALShards() int { return 1 }
-
-// WALShardDir implements Replicable: the lineage's directory.
-func (d *durableStore) WALShardDir(int) string { return d.dir }
-
-// WALShardNextSeq implements Replicable: the next sequence number the
-// lineage will assign (last committed + 1).
-func (d *durableStore) WALShardNextSeq(int) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.NextSeq()
-}
-
-// SetCommitHook implements Replicable. The hook runs under the store's
-// write lock and must not block.
-func (d *durableStore) SetCommitHook(fn func()) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.commitHook = fn
-}
-
-// Put implements Store: the record is encoded first (so an
-// unloggable key is rejected before it touches memory), then the
-// in-memory write must succeed, then the record is sealed and appended
-// (committed = applied + logged).
-func (d *durableStore) Put(key, value []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, err := encodeWalRecord(walOpPut, key, value)
-	if err != nil {
-		return err
-	}
-	if err := d.ensureResidentLocked(key, false); err != nil {
-		return err
-	}
-	if err := d.inner.Put(key, value); err != nil {
-		return err
-	}
-	if err := d.logRecords(rec); err != nil {
-		return err
-	}
-	d.noteWrite(string(key))
-	return nil
-}
-
-// Get implements Store (reads never touch the WAL, but may promote the
-// key out of the cold tier).
-func (d *durableStore) Get(key []byte) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.ensureResidentLocked(key, true); err != nil {
-		return nil, err
-	}
-	return d.inner.Get(key)
-}
-
-// GetV implements Store (reads never touch the WAL, but may promote the
-// key out of the cold tier).
-func (d *durableStore) GetV(key []byte) ([]byte, uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.ensureResidentLocked(key, true); err != nil {
-		return nil, 0, err
-	}
-	return d.inner.GetV(key)
-}
-
-// CompareAndSwap implements Store. A successful CAS logs a plain put
-// record: replay re-applies writes in commit order, so the semantics
-// layer reassigns the identical version without persisting it per
-// record.
-func (d *durableStore) CompareAndSwap(key, value []byte, expect uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, err := encodeWalRecord(walOpPut, key, value)
-	if err != nil {
-		return err
-	}
-	if err := d.ensureResidentLocked(key, false); err != nil {
-		return err
-	}
-	if err := d.inner.CompareAndSwap(key, value, expect); err != nil {
-		return err
-	}
-	if err := d.logRecords(rec); err != nil {
-		return err
-	}
-	d.noteWrite(string(key))
-	return nil
-}
-
-// PutTTL implements Store: the expiry deadline is resolved to an
-// absolute timestamp once, applied, and sealed into the WAL record, so
-// recovery and replicas reconstruct exactly the committed deadline.
-func (d *durableStore) PutTTL(key, value []byte, ttl time.Duration) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sm := d.inner.(semantic)
-	var exp int64
-	if ttl > 0 {
-		exp = sm.nowNanos() + int64(ttl)
-	}
-	return d.putExpireAbsLocked(key, value, exp)
-}
-
-// putExpireAbsLocked applies and logs a put with an already-absolute
-// deadline (0 = plain put); the replica apply path enters here too.
-func (d *durableStore) putExpireAbsLocked(key, value []byte, exp int64) error {
-	var rec []byte
-	var err error
-	if exp == 0 {
-		rec, err = encodeWalRecord(walOpPut, key, value)
-	} else {
-		rec, err = encodeWalTTLRecord(key, exp, value)
-	}
-	if err != nil {
-		return err
-	}
-	if err := d.ensureResidentLocked(key, false); err != nil {
-		return err
-	}
-	if err := d.inner.(semantic).putExpireAbs(key, value, exp); err != nil {
-		return err
-	}
-	if err := d.logRecords(rec); err != nil {
-		return err
-	}
-	d.noteWrite(string(key))
-	return nil
-}
-
-// TxnCommit implements Store: validate and apply through the semantics
-// layer, then seal the whole write set as ONE group-commit record. A
-// crash can only leave that record wholly present or wholly absent, so
-// recovery never sees a partial transaction.
-func (d *durableStore) TxnCommit(ops []TxnOp) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sm := d.inner.(semantic)
-	for i := range ops {
-		if err := d.ensureResidentLocked(ops[i].Key, false); err != nil {
-			return err
-		}
-	}
-	writes, err := sm.resolveTxn(ops)
-	if err != nil {
-		return err
-	}
-	// Encode first so an unloggable transaction is rejected before any
-	// write applies.
-	var rec []byte
-	if len(writes) > 0 {
-		if rec, err = encodeWalTxnRecord(writes); err != nil {
-			return err
-		}
-	}
-	if err := sm.commitTxn(ops, writes); err != nil {
-		return err
-	}
-	if len(writes) == 0 {
-		return nil // validation-only commit: nothing to persist
-	}
-	if err := d.logRecords(rec); err != nil {
-		return err
-	}
-	for i := range writes {
-		if writes[i].del {
-			d.noteDelete(string(writes[i].key))
-		} else {
-			d.noteWrite(string(writes[i].key))
-		}
-	}
-	return nil
-}
-
-// Delete implements Store.
-func (d *durableStore) Delete(key []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, err := encodeWalRecord(walOpDelete, key, nil)
-	if err != nil {
-		return err
-	}
-	if err := d.ensureResidentLocked(key, false); err != nil {
-		return err
-	}
-	if err := d.inner.Delete(key); err != nil {
-		return err
-	}
-	if err := d.logRecords(rec); err != nil {
-		return err
-	}
-	d.noteDelete(string(key))
-	return nil
-}
-
-// MGet implements Store.
-func (d *durableStore) MGet(keys [][]byte) ([][]byte, []error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.coldCompress {
-		for _, k := range keys {
-			if err := d.ensureResidentLocked(k, true); err != nil {
-				errs := make([]error, len(keys))
-				for i := range errs {
-					errs[i] = err
-				}
-				return make([][]byte, len(keys)), errs
-			}
-		}
-	}
-	return d.inner.MGet(keys)
-}
-
-// MPut implements Store: the batch's successful writes are sealed and
-// appended as one group commit — one segment append, one fsync under
-// FsyncBatch — which is where batching's edge amortization carries
-// over to durability.
-func (d *durableStore) MPut(pairs []KV) []error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.coldCompress {
-		for i := range pairs {
-			if err := d.ensureResidentLocked(pairs[i].Key, false); err != nil {
-				out := make([]error, len(pairs))
-				for j := range out {
-					out[j] = err
-				}
-				return out
-			}
-		}
-	}
-	errs := d.inner.MPut(pairs)
-	recs := make([][]byte, 0, len(pairs))
-	ok := make([]int, 0, len(pairs))
-	for i, p := range pairs {
-		if errs == nil || errs[i] == nil {
-			rec, err := encodeWalRecord(walOpPut, p.Key, p.Value)
-			if err != nil {
-				// Unreachable while openDurable caps MaxKeySize, kept
-				// as a positional error rather than silent corruption.
-				errs = batchErr(errs, len(pairs), i, err)
-				continue
-			}
-			recs = append(recs, rec)
-			ok = append(ok, i)
-		}
-	}
-	if len(recs) == 0 {
-		return errs
-	}
-	if err := d.logRecords(recs...); err != nil {
-		// The writes applied in memory but are not durable: report the
-		// append failure at every position that would otherwise succeed.
-		for _, i := range ok {
-			errs = batchErr(errs, len(pairs), i, err)
-		}
-		return errs
-	}
-	for _, i := range ok {
-		d.noteWrite(string(pairs[i].Key))
-	}
-	return errs
-}
-
-// MDelete implements Store, with the same group commit as MPut.
-func (d *durableStore) MDelete(keys [][]byte) []error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.coldCompress {
-		for _, k := range keys {
-			if err := d.ensureResidentLocked(k, false); err != nil {
-				out := make([]error, len(keys))
-				for j := range out {
-					out[j] = err
-				}
-				return out
-			}
-		}
-	}
-	errs := d.inner.MDelete(keys)
-	recs := make([][]byte, 0, len(keys))
-	ok := make([]int, 0, len(keys))
-	for i, k := range keys {
-		if errs == nil || errs[i] == nil {
-			rec, err := encodeWalRecord(walOpDelete, k, nil)
-			if err != nil {
-				errs = batchErr(errs, len(keys), i, err)
-				continue
-			}
-			recs = append(recs, rec)
-			ok = append(ok, i)
-		}
-	}
-	if len(recs) == 0 {
-		return errs
-	}
-	if err := d.logRecords(recs...); err != nil {
-		for _, i := range ok {
-			errs = batchErr(errs, len(keys), i, err)
-		}
-		return errs
-	}
-	for _, i := range ok {
-		d.noteDelete(string(keys[i]))
-	}
-	return errs
-}
-
-// putExpireAbs implements expiryApplier (the replica apply path).
-func (d *durableStore) putExpireAbs(key, value []byte, exp int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.putExpireAbsLocked(key, value, exp)
-}
-
-// applyTxnWrites implements txnApplier: apply an already-validated
-// transaction and re-seal it as one record, so a replica's lineage
-// carries the same atomic group commit the primary's does.
-func (d *durableStore) applyTxnWrites(writes []txnWrite) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rec, err := encodeWalTxnRecord(writes)
-	if err != nil {
-		return err
-	}
-	for i := range writes {
-		if err := d.ensureResidentLocked(writes[i].key, false); err != nil {
-			return err
-		}
-	}
-	if err := d.inner.(semantic).applyTxnWrites(writes); err != nil {
-		return err
-	}
-	if err := d.logRecords(rec); err != nil {
-		return err
-	}
-	for i := range writes {
-		if writes[i].del {
-			d.noteDelete(string(writes[i].key))
-		} else {
-			d.noteWrite(string(writes[i].key))
-		}
-	}
-	return nil
-}
-
-// Checkpoint implements Durable.
-func (d *durableStore) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errors.New("aria: checkpoint on closed store")
-	}
-	return d.checkpointLocked()
-}
-
-// checkpointLocked rotates the WAL so the snapshot boundary aligns
-// with a segment boundary, seals the keyspace into an atomic snapshot,
-// and prunes what the *previous* snapshot generation no longer needs:
+// checkpoint rotates the WAL so the snapshot boundary aligns with a
+// segment boundary, seals the keyspace into an atomic snapshot, and
+// prunes what the *previous* snapshot generation no longer needs:
 // snapshots older than the previous one and WAL segments at or below
 // its covered seq. Keeping two generations means a tampered newest
 // snapshot still has a working fallback (older snapshot + retained WAL)
 // under Quarantine, instead of silently wiping the store. Callers hold
-// d.mu.
-func (d *durableStore) checkpointLocked() error {
-	if d.coldCompress {
+// the shard lock — for the whole write, today.
+func (s *shard) checkpoint() error {
+	if s.cold != nil {
 		// The cold tier replaces raw snapshots with incremental
 		// compressed segments and a set manifest (cold.go).
-		return d.checkpointColdLocked()
+		return s.checkpointCold()
 	}
+	d := s.dur
 	covered := d.log.NextSeq() - 1
 	if d.hasSnap && covered == d.lastSnapCovered {
 		// No record was logged since the last snapshot: re-sealing an
@@ -999,49 +589,41 @@ func (d *durableStore) checkpointLocked() error {
 	if err := d.log.Rotate(); err != nil {
 		return fmt.Errorf("aria: checkpoint rotate: %w", err)
 	}
-	names := make([]string, 0, len(d.keys))
-	for k := range d.keys {
-		names = append(names, k)
+	// Hash-indexed schemes cannot enumerate their contents, so the
+	// checkpointer walks the shadow key set (sorted, for deterministic
+	// snapshots) and reads each key.
+	names := make([]string, 0, d.liveKeys)
+	for k, r := range s.recs {
+		if r.live {
+			names = append(names, k)
+		}
 	}
 	sort.Strings(names)
-	sm := d.inner.(semantic)
 	pairs := make([]wal.Pair, 0, len(names)+1)
 	// The synthetic version-clock pair leads (empty key — impossible
 	// for user keys), so recovery restores the clock before any record
 	// above the snapshot replays.
 	var clock [8]byte
-	binary.LittleEndian.PutUint64(clock[:], sm.clockVersion())
+	binary.LittleEndian.PutUint64(clock[:], s.vclock)
 	pairs = append(pairs, wal.Pair{Value: clock[:]})
-	total := 0
 	for _, k := range names {
-		v, err := d.inner.Get([]byte(k))
-		switch {
-		case err == nil:
-			ver, exp := sm.metaOf([]byte(k))
-			pairs = append(pairs, wal.Pair{Key: []byte(k), Value: encodeSnapValue(v, ver, exp)})
-			total += len(k) + len(v) + snapMetaBytes + 2
-		case errors.Is(err, ErrNotFound):
-			// The shadow set can briefly overapproximate; skip.
-		case errors.Is(err, ErrIntegrity) && d.policy == Quarantine:
-			// A poisoned key has no trustworthy value to persist; the
-			// snapshot carries the surviving keys and the store stays
-			// degraded.
-		default:
-			return fmt.Errorf("aria: checkpoint read %q: %w", k, err)
+		v, r, err := s.get([]byte(k))
+		if skip, err := s.unpersistable(k, err); err != nil {
+			return err
+		} else if !skip {
+			pairs = append(pairs, wal.Pair{Key: []byte(k), Value: encodeSnapValue(v, r.ver, r.exp)})
 		}
 	}
 	bytes, err := wal.WriteSnapshot(d.dir, d.sealer, covered, pairs)
 	if err != nil {
 		return fmt.Errorf("aria: write snapshot: %w", err)
 	}
-	if d.enc != nil {
-		for _, p := range pairs {
-			d.enc.ChargeCTR(len(p.Key) + len(p.Value) + 2)
-			d.enc.ChargeMAC(len(p.Key) + len(p.Value) + 2 + seal.Overhead)
-		}
-		d.enc.SealOut(int(bytes))
-		d.enc.Ocall() // the snapshot fsync
+	for _, p := range pairs {
+		s.enc.ChargeCTR(len(p.Key) + len(p.Value) + 2)
+		s.enc.ChargeMAC(len(p.Key) + len(p.Value) + 2 + seal.Overhead)
 	}
+	s.enc.SealOut(int(bytes))
+	s.enc.Ocall() // the snapshot fsync
 	// Prune up to the previous generation only. On the first checkpoint
 	// there is no previous snapshot: the floor is 0, so the full WAL is
 	// retained and remains a complete fallback on its own.
@@ -1061,153 +643,50 @@ func (d *durableStore) checkpointLocked() error {
 	return nil
 }
 
-// Close implements Durable: stop the checkpointer, flush, close. It
-// returns the last background checkpoint failure, if any, so operators
-// see it even without metrics.
-func (d *durableStore) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
+// unpersistable sorts the outcome of a checkpoint's read of live key k:
+// skip it (true), persist it (false), or fail the checkpoint.
+func (s *shard) unpersistable(k string, err error) (bool, error) {
+	switch {
+	case err == nil:
+		return false, nil
+	case errors.Is(err, ErrNotFound):
+		// The shadow set overapproximates (see keyRec.live); skip.
+		return true, nil
+	case errors.Is(err, ErrIntegrity) && s.policy == Quarantine:
+		// A poisoned key has no trustworthy value to persist; the
+		// checkpoint carries the surviving keys and the store stays
+		// degraded.
+		return true, nil
 	}
-	d.closed = true
-	d.mu.Unlock()
-	close(d.stopC)
-	d.wg.Wait()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	err := d.log.Sync()
-	if cerr := d.log.Close(); err == nil {
-		err = cerr
-	}
-	// Stop the semantics layer's background sweeper, if one runs.
-	if c, ok := d.inner.(Durable); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err == nil {
-		err = d.ckptErr
-	}
-	return err
+	return false, fmt.Errorf("aria: checkpoint read %q: %w", k, err)
 }
 
-// Stats implements Store, adding the durability counters.
-func (d *durableStore) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.inner.Stats()
-	ls := d.log.Stats()
-	st.WALAppends = ls.Appends
-	st.WALRecords = ls.Records
-	st.WALBytes = ls.Bytes
-	st.WALFsyncs = ls.Fsyncs
-	st.Checkpoints = d.checkpoints
-	st.RecoveredRecords = d.recovered
-	if d.coldCompress {
-		// The inner store only counts resident keys; the shadow set is
-		// the live keyspace once demotion is in play.
-		st.Keys = len(d.keys)
+// WALShards implements Replicable: a durable shard is one lineage, any
+// other none.
+func (s *shard) WALShards() int {
+	if s.dur == nil {
+		return 0
 	}
-	st.ColdKeys = len(d.cold)
-	st.ColdBytes = d.coldResident
-	st.ColdHits = d.coldHits
-	st.ColdMisses = d.coldMisses
-	st.CompRawBytes = d.compRaw
-	st.CompBytes = d.compOut
-	st.CompDictBytes = d.dictBytes
-	st.Segments = len(d.segNames)
-	st.SegmentBytes = d.segBytes
-	st.Compactions = d.compactions
-	// Tampering found during recovery counts like tampering found live:
-	// it flips Health() to degraded under Quarantine.
-	st.IntegrityFailures += d.recFailures
-	return st
+	return 1
 }
 
-// VerifyIntegrity implements Store.
-func (d *durableStore) VerifyIntegrity() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inner.VerifyIntegrity()
+// WALShardDir implements Replicable: the lineage's directory.
+func (s *shard) WALShardDir(int) string { return s.dur.dir }
+
+// WALShardNextSeq implements Replicable: the next sequence number the
+// lineage will assign (last committed + 1).
+func (s *shard) WALShardNextSeq(int) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dur.log.NextSeq()
 }
 
-// SetMeasuring implements Store.
-func (d *durableStore) SetMeasuring(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.inner.SetMeasuring(on)
-}
-
-// ResetStats implements Store.
-func (d *durableStore) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.inner.ResetStats()
-}
-
-// Scan implements Ranger when the inner store does.
-func (d *durableStore) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok := d.inner.(Ranger)
-	if !ok {
-		return ErrNoScan
-	}
-	if err := d.ensureResidentRangeLocked(start, end); err != nil {
-		return err
-	}
-	return r.Scan(start, end, fn)
-}
-
-// ChargeEcall implements EdgeCaller.
-func (d *durableStore) ChargeEcall() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if ec, ok := d.inner.(EdgeCaller); ok {
-		ec.ChargeEcall()
-	}
-}
-
-// The Corrupter surface passes through so attack demos target the
-// in-memory arenas of a durable store unchanged; the on-disk files are
-// attacked directly through the filesystem instead.
-
-// UntrustedSize implements Corrupter.
-func (d *durableStore) UntrustedSize() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.inner.(Corrupter); ok {
-		return c.UntrustedSize()
-	}
-	return 0
-}
-
-// FlipUntrustedByte implements Corrupter.
-func (d *durableStore) FlipUntrustedByte(offset int, mask byte) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.inner.(Corrupter); ok {
-		return c.FlipUntrustedByte(offset, mask)
-	}
-	return false
-}
-
-// SnapshotUntrusted implements Corrupter.
-func (d *durableStore) SnapshotUntrusted() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.inner.(Corrupter); ok {
-		return c.SnapshotUntrusted()
-	}
-	return nil
-}
-
-// RestoreUntrusted implements Corrupter.
-func (d *durableStore) RestoreUntrusted(snap []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.inner.(Corrupter); ok {
-		c.RestoreUntrusted(snap)
+// SetCommitHook implements Replicable. The hook runs under the shard
+// lock and must not block.
+func (s *shard) SetCommitHook(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dur != nil {
+		s.dur.commitHook = fn
 	}
 }

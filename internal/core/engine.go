@@ -349,6 +349,9 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
+// Keys returns the live entry count.
+func (e *Engine) Keys() int { return e.idx.keys() }
+
 // Enclave exposes the underlying enclave (throughput accounting).
 func (e *Engine) Enclave() *sgx.Enclave { return e.enc }
 

@@ -2,27 +2,25 @@ package aria
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"github.com/ariakv/aria/internal/sgx"
 	"github.com/ariakv/aria/obs"
 )
 
-// This file wires the obs metrics registry through the store core. When
-// Options.Metrics is nil (the default), none of this code runs: Open
-// returns the raw store and the hot path is bit-identical to a build
-// without metrics — the disabled-overhead guarantee is structural, not a
-// branch (TestMetricsDisabledPathUnchanged asserts it, and the CI
-// overhead guard benchmarks it).
+// This file wires the obs metrics registry into the op path. When
+// Options.Metrics is nil (the default) a shard's instruments are nil and
+// the observe stage is a nil check: no clock is read, nothing is
+// registered, nothing allocated (TestMetricsDisabledPathUnchanged
+// asserts it, and the CI overhead guard benchmarks the branch).
 //
-// When a registry is supplied, every single-enclave store is wrapped in a
-// meteredStore carrying a shard label ("0" for an unsharded store, the
-// shard index under Options.Shards). The wrapper records per-operation
-// latency in wall nanoseconds AND simulated cycles, and registers a
-// scrape-time collector that reads the store's Stats() under the
-// wrapper's own lock — making the registry the single synchronized read
-// path into the enclave simulator's plain (non-atomic) counters.
+// When a registry is supplied, every shard gets instruments carrying a
+// shard label ("0" for an unsharded store, the shard index under
+// Options.Shards). The observe stage records per-operation latency in
+// wall nanoseconds AND simulated cycles, inside the shard lock, and a
+// scrape-time collector reads the shard's Stats() under that same lock —
+// making the registry a synchronized read path into the enclave
+// simulator's plain (non-atomic) counters, safe to scrape under load.
 
 // Metric family names emitted by the store layer. docs/OPERATIONS.md
 // documents each; the parity test enforces that the catalogue and the
@@ -109,15 +107,10 @@ const (
 
 var batchKindNames = [batchKindCount]string{"mget", "mput", "mdelete", "txn"}
 
-// meteredStore wraps one single-enclave store with instrumentation and a
-// mutex that serializes operations AND stats reads. The engines model one
-// enclave thread and are not goroutine-safe; the wrapper's lock is what
-// lets a /metrics scrape run concurrently with live traffic without
-// racing the simulator's plain counters.
-type meteredStore struct {
-	inner Store
-	enc   *sgx.Enclave // nil only if a future scheme lacks a simulator
-	mu    sync.Mutex   // serializes ops and stats reads (one enclave thread)
+// instruments is one shard's set of metric handles. A nil *instruments
+// observes nothing.
+type instruments struct {
+	enc *sgx.Enclave
 
 	wall   [opKindCount]*obs.Histogram
 	cycles [opKindCount]*obs.Histogram
@@ -136,30 +129,11 @@ type meteredStore struct {
 	compactWall *obs.Histogram
 }
 
-// enclaveOf extracts the simulated enclave behind a single-scheme store
-// (the scheme engines themselves sit below the semantics layer and only
-// implement plainStore, hence the inner switch).
-func enclaveOf(s Store) *sgx.Enclave {
-	switch t := s.(type) {
-	case *durableStore:
-		return t.enc
-	case *semStore:
-		switch in := t.inner.(type) {
-		case *coreStore:
-			return in.enc
-		case *shieldStore:
-			return in.enc
-		case *baseStore:
-			return in.enc
-		}
-	}
-	return nil
-}
-
-// meter wraps a single-enclave store with instruments labelled
-// {op, shard} and registers its scrape-time collector.
-func meter(inner Store, reg *obs.Registry, shard string) *meteredStore {
-	m := &meteredStore{inner: inner, enc: enclaveOf(inner)}
+// newInstruments registers one shard's instruments, labelled {op,
+// shard}, and its scrape-time collector; stats is the shard's Stats,
+// which takes the shard lock.
+func newInstruments(reg *obs.Registry, enc *sgx.Enclave, shard string, stats func() Stats) *instruments {
+	m := &instruments{enc: enc}
 	for k := opKind(0); k < opKindCount; k++ {
 		l := obs.Labels{"op": opKindNames[k], "shard": shard}
 		m.wall[k] = reg.Histogram(metricOpWallNs,
@@ -197,7 +171,7 @@ func meter(inner Store, reg *obs.Registry, shard string) *meteredStore {
 	m.compactWall = reg.Histogram(metricSegCompactWallNs,
 		"Major segment compaction duration in wall-clock nanoseconds (checkpoints that rewrote the full segment set).", sl)
 	reg.RegisterCollector(func(emit obs.Emit) {
-		st := m.Stats() // takes m.mu: the synchronized read path
+		st := stats()
 		emit(metricSimCyclesTotal, "Simulated enclave clock, cycles.", obs.TypeCounter, sl, float64(st.SimCycles))
 		emit(metricPageSwapsTotal, "EPC secure-paging swaps (paging penalties paid).", obs.TypeCounter, sl, float64(st.PageSwaps))
 		emit(metricEcallsTotal, "Enclave entries (ECALLs).", obs.TypeCounter, sl, float64(st.Ecalls))
@@ -262,25 +236,30 @@ func boolValue(b bool) float64 {
 	return 0
 }
 
-// simCycles reads the enclave clock without building a full Stats
-// snapshot; callers hold m.mu.
-func (m *meteredStore) simCycles() uint64 {
-	if m.enc == nil {
-		return 0
+// begin opens one operation's observation window: the wall clock and
+// the simulated clock, read under the shard lock so lock wait is not
+// part of the latency. Without instruments neither clock is read.
+func (s *shard) begin() (time.Time, uint64) {
+	if s.ins == nil {
+		return time.Time{}, 0
 	}
-	return m.enc.Cycles()
+	return time.Now(), s.enc.Cycles()
 }
 
 // observe records one finished operation. Not-found is a normal outcome
 // for Get/Delete, and optimistic-concurrency losses (CAS mismatch, txn
-// conflict) are expected contention, not operational errors.
-func (m *meteredStore) observe(k opKind, t0 time.Time, c0 uint64, err error) {
+// conflict) are expected contention, not operational errors. A versioned
+// read is observed as a get, a TTL write as a put.
+func (m *instruments) observe(k opKind, t0 time.Time, c0 uint64, err error) {
+	if m == nil {
+		return
+	}
 	m.ops[k].Inc()
 	if err != nil && !expectedOutcome(err) {
 		m.errs[k].Inc()
 	}
 	m.wall[k].Record(uint64(time.Since(t0)))
-	m.cycles[k].Record(m.simCycles() - c0)
+	m.cycles[k].Record(m.enc.Cycles() - c0)
 }
 
 // expectedOutcome reports whether err is a normal protocol outcome
@@ -292,7 +271,10 @@ func expectedOutcome(err error) bool {
 // observeBatch records one finished batch operation: realized batch size,
 // whole-batch latency in both clocks, the amortized per-key cycle cost, and
 // per-key failures (not-found is a normal outcome, not an error).
-func (m *meteredStore) observeBatch(k batchKind, n int, t0 time.Time, c0 uint64, errs []error) {
+func (m *instruments) observeBatch(k batchKind, n int, t0 time.Time, c0 uint64, errs []error) {
+	if m == nil {
+		return
+	}
 	m.batches[k].Inc()
 	m.bkeys[k].Add(uint64(n))
 	var bad uint64
@@ -304,309 +286,35 @@ func (m *meteredStore) observeBatch(k batchKind, n int, t0 time.Time, c0 uint64,
 	m.bkeyErrs[k].Add(bad)
 	m.bsize[k].Record(uint64(n))
 	m.bwall[k].Record(uint64(time.Since(t0)))
-	dc := m.simCycles() - c0
+	dc := m.enc.Cycles() - c0
 	m.bcycles[k].Record(dc)
 	if n > 0 {
 		m.bkeyCycles[k].Record(dc / uint64(n))
 	}
 }
 
-// MGet implements Store.
-func (m *meteredStore) MGet(keys [][]byte) ([][]byte, []error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	vals, errs := m.inner.MGet(keys)
-	m.observeBatch(batchKindMGet, len(keys), t0, c0, errs)
-	return vals, errs
-}
-
-// MPut implements Store.
-func (m *meteredStore) MPut(pairs []KV) []error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	errs := m.inner.MPut(pairs)
-	m.observeBatch(batchKindMPut, len(pairs), t0, c0, errs)
-	return errs
-}
-
-// MDelete implements Store.
-func (m *meteredStore) MDelete(keys [][]byte) []error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	errs := m.inner.MDelete(keys)
-	m.observeBatch(batchKindMDelete, len(keys), t0, c0, errs)
-	return errs
-}
-
-// Put implements Store.
-func (m *meteredStore) Put(key, value []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	err := m.inner.Put(key, value)
-	m.observe(opKindPut, t0, c0, err)
-	return err
-}
-
-// Get implements Store.
-func (m *meteredStore) Get(key []byte) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	v, err := m.inner.Get(key)
-	m.observe(opKindGet, t0, c0, err)
-	return v, err
-}
-
-// Delete implements Store.
-func (m *meteredStore) Delete(key []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	err := m.inner.Delete(key)
-	m.observe(opKindDelete, t0, c0, err)
-	return err
-}
-
-// GetV implements Store; a versioned read is observed as a get.
-func (m *meteredStore) GetV(key []byte) ([]byte, uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	v, ver, err := m.inner.GetV(key)
-	m.observe(opKindGet, t0, c0, err)
-	return v, ver, err
-}
-
-// CompareAndSwap implements Store under its own op label ("cas"); a
-// version mismatch is expected contention, not an operational error.
-func (m *meteredStore) CompareAndSwap(key, value []byte, expect uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	err := m.inner.CompareAndSwap(key, value, expect)
-	m.observe(opKindCAS, t0, c0, err)
-	return err
-}
-
-// PutTTL implements Store; a TTL write is observed as a put.
-func (m *meteredStore) PutTTL(key, value []byte, ttl time.Duration) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	err := m.inner.PutTTL(key, value, ttl)
-	m.observe(opKindPut, t0, c0, err)
-	return err
-}
-
-// TxnCommit implements Store, observed as a batch labelled "txn" (one
-// commit = one group of keys entering the enclave together).
-func (m *meteredStore) TxnCommit(ops []TxnOp) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0, c0 := time.Now(), m.simCycles()
-	err := m.inner.TxnCommit(ops)
+// observeTxn records one commit (or replica apply) of n ops as a batch
+// labelled "txn"; its one error, if any, counts as one failed key.
+func (m *instruments) observeTxn(n int, t0 time.Time, c0 uint64, err error) {
+	if m == nil {
+		return
+	}
 	var errs []error
 	if err != nil {
 		errs = []error{err}
 	}
-	m.observeBatch(batchKindTxn, len(ops), t0, c0, errs)
-	return err
+	m.observeBatch(batchKindTxn, n, t0, c0, errs)
 }
 
-// putExpireAbs implements expiryApplier (the replica apply path),
-// observed as a put like PutTTL.
-func (m *meteredStore) putExpireAbs(key, value []byte, exp int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ea, ok := m.inner.(expiryApplier)
-	if !ok {
-		return errors.New("aria: metered store's inner store cannot apply ttl records")
+// observeCheckpoint times one explicit checkpoint; one that rewrote the
+// full segment set (cold tier only) also lands in the compaction
+// histogram.
+func (m *instruments) observeCheckpoint(ns uint64, compacted bool) {
+	if m == nil {
+		return
 	}
-	t0, c0 := time.Now(), m.simCycles()
-	err := ea.putExpireAbs(key, value, exp)
-	m.observe(opKindPut, t0, c0, err)
-	return err
-}
-
-// applyTxnWrites implements txnApplier (the replica apply path),
-// observed as a "txn" batch like TxnCommit.
-func (m *meteredStore) applyTxnWrites(writes []txnWrite) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ta, ok := m.inner.(txnApplier)
-	if !ok {
-		return errors.New("aria: metered store's inner store cannot apply txn records")
-	}
-	t0, c0 := time.Now(), m.simCycles()
-	err := ta.applyTxnWrites(writes)
-	var errs []error
-	if err != nil {
-		errs = []error{err}
-	}
-	m.observeBatch(batchKindTxn, len(writes), t0, c0, errs)
-	return err
-}
-
-// Scan implements Ranger; one whole scan is one observation. A store
-// whose index is unordered reports ErrNoScan, same as unwrapped.
-func (m *meteredStore) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.inner.(Ranger)
-	if !ok {
-		return ErrNoScan
-	}
-	t0, c0 := time.Now(), m.simCycles()
-	err := r.Scan(start, end, fn)
-	m.observe(opKindScan, t0, c0, err)
-	return err
-}
-
-// Stats implements Store. Holding m.mu makes this safe to call while
-// another goroutine operates on the store — the fix for the snapshot
-// races a live /metrics scrape would otherwise hit.
-func (m *meteredStore) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inner.Stats()
-}
-
-// VerifyIntegrity implements Store.
-func (m *meteredStore) VerifyIntegrity() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inner.VerifyIntegrity()
-}
-
-// SetMeasuring implements Store.
-func (m *meteredStore) SetMeasuring(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inner.SetMeasuring(on)
-}
-
-// ResetStats implements Store.
-func (m *meteredStore) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inner.ResetStats()
-}
-
-// Checkpoint implements Durable, timing the whole snapshot into the
-// checkpoint histogram. A store opened without DataDir reports
-// ErrNotDurable (not timed: a refused checkpoint is not a duration).
-func (m *meteredStore) Checkpoint() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d, ok := m.inner.(Durable)
-	if !ok {
-		return ErrNotDurable
-	}
-	// Compactions is read around the checkpoint so a full segment-set
-	// rewrite (cold tier only) also lands in the compaction histogram.
-	c0 := m.inner.Stats().Compactions
-	t0 := time.Now()
-	err := d.Checkpoint()
-	dt := uint64(time.Since(t0))
-	m.ckptWall.Record(dt)
-	if m.inner.Stats().Compactions > c0 {
-		m.compactWall.Record(dt)
-	}
-	return err
-}
-
-// Close implements Durable: flush and close the inner store's log. A
-// store opened without DataDir has nothing to release and closes as a
-// no-op.
-func (m *meteredStore) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d, ok := m.inner.(Durable); ok {
-		return d.Close()
-	}
-	return nil
-}
-
-// ChargeEcall implements EdgeCaller.
-func (m *meteredStore) ChargeEcall() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ec, ok := m.inner.(EdgeCaller); ok {
-		ec.ChargeEcall()
-	}
-}
-
-// The Corrupter surface passes through so attack demos and chaos tests
-// work unchanged on a metered store; schemes without untrusted memory
-// contribute zero bytes, matching the sharded aggregation contract.
-
-// UntrustedSize implements Corrupter.
-// WALShards implements Replicable by delegation; a non-durable inner
-// store reports zero lineages (not replicable). These forwarders do
-// not take m.mu: the inner store's own lock protects them, and the
-// commit hook fires while a write already holds m.mu.
-func (m *meteredStore) WALShards() int {
-	if r, ok := m.inner.(Replicable); ok {
-		return r.WALShards()
-	}
-	return 0
-}
-
-// WALShardDir implements Replicable by delegation.
-func (m *meteredStore) WALShardDir(i int) string {
-	return m.inner.(Replicable).WALShardDir(i)
-}
-
-// WALShardNextSeq implements Replicable by delegation.
-func (m *meteredStore) WALShardNextSeq(i int) uint64 {
-	return m.inner.(Replicable).WALShardNextSeq(i)
-}
-
-// SetCommitHook implements Replicable by delegation.
-func (m *meteredStore) SetCommitHook(fn func()) {
-	if r, ok := m.inner.(Replicable); ok {
-		r.SetCommitHook(fn)
-	}
-}
-
-func (m *meteredStore) UntrustedSize() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.inner.(Corrupter); ok {
-		return c.UntrustedSize()
-	}
-	return 0
-}
-
-// FlipUntrustedByte implements Corrupter.
-func (m *meteredStore) FlipUntrustedByte(offset int, mask byte) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.inner.(Corrupter); ok {
-		return c.FlipUntrustedByte(offset, mask)
-	}
-	return false
-}
-
-// SnapshotUntrusted implements Corrupter.
-func (m *meteredStore) SnapshotUntrusted() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.inner.(Corrupter); ok {
-		return c.SnapshotUntrusted()
-	}
-	return nil
-}
-
-// RestoreUntrusted implements Corrupter.
-func (m *meteredStore) RestoreUntrusted(snap []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.inner.(Corrupter); ok {
-		c.RestoreUntrusted(snap)
+	m.ckptWall.Record(ns)
+	if compacted {
+		m.compactWall.Record(ns)
 	}
 }

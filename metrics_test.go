@@ -14,39 +14,54 @@ import (
 func testKey(i int) []byte   { return []byte(fmt.Sprintf("key-%06d", i)) }
 func testValue(i int) []byte { return []byte(fmt.Sprintf("value-%06d", i)) }
 
-// TestMetricsDisabledPathUnchanged pins the zero-overhead contract
-// structurally: with Metrics nil, Open returns the very store openStore
-// builds — no wrapper, no extra indirection, a hot path bit-identical to
-// a build without the metrics feature.
+// TestMetricsDisabledPathUnchanged pins what Options.Metrics does and
+// does not add. Set, every shard's instruments land in the registry
+// under its own shard label; nil, operations allocate exactly what they
+// allocate with instruments on — the observe stage is a nil check, not a
+// second code path with its own garbage (TestOpPathAllocs pins the
+// absolute numbers, make metrics-guard the branch's wall-clock cost).
 func TestMetricsDisabledPathUnchanged(t *testing.T) {
-	st, err := Open(Options{Scheme: AriaHash, ExpectedKeys: 100})
-	if err != nil {
-		t.Fatal(err)
+	open := func(shards int, reg *obs.Registry) Store {
+		st, err := Open(Options{Scheme: AriaHash, ExpectedKeys: 100, Shards: shards, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			if err := st.Put(testKey(i), testValue(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
 	}
-	if _, ok := st.(*meteredStore); ok {
-		t.Fatal("Open with Metrics=nil returned a metered wrapper")
-	}
-	if _, ok := st.(*semStore); !ok {
-		t.Fatalf("Open with Metrics=nil returned %T, want *semStore", st)
-	}
-
-	reg := obs.NewRegistry()
-	st, err = Open(Options{Scheme: AriaHash, ExpectedKeys: 100, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.(*meteredStore); !ok {
-		t.Fatalf("Open with Metrics set returned %T, want *meteredStore", st)
-	}
-
-	sh, err := Open(Options{Scheme: AriaHash, ExpectedKeys: 100, Shards: 4, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := sh.(*shardedStore)
-	for i, s := range ss.shards {
-		if _, ok := s.(*meteredStore); !ok {
-			t.Fatalf("shard %d is %T, want *meteredStore", i, s)
+	for _, shards := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		plain, metered := open(shards, nil), open(shards, reg)
+		snap := reg.Snapshot()
+		var puts float64
+		for i := 0; i < shards; i++ {
+			l := obs.Labels{"shard": fmt.Sprint(i)}
+			if _, ok := snap.Value(metricKeys, l); !ok {
+				t.Errorf("Shards=%d: no %s series for shard %d", shards, metricKeys, i)
+			}
+			l["op"] = "put"
+			n, ok := snap.Value(metricOpsTotal, l)
+			if !ok {
+				t.Errorf("Shards=%d: no %s{op=put} series for shard %d", shards, metricOpsTotal, i)
+			}
+			puts += n
+		}
+		if puts != 100 {
+			t.Errorf("Shards=%d: %s{op=put} sums to %v over the shards, want 100", shards, metricOpsTotal, puts)
+		}
+		for name, op := range map[string]func(Store){
+			"Get": func(st Store) { _, _ = st.Get(testKey(7)) },
+			"Put": func(st Store) { _ = st.Put(testKey(7), testValue(7)) },
+		} {
+			off := testing.AllocsPerRun(200, func() { op(plain) })
+			on := testing.AllocsPerRun(200, func() { op(metered) })
+			if off != on {
+				t.Errorf("Shards=%d %s: %v allocs/op with Metrics nil, %v with Metrics set", shards, name, off, on)
+			}
 		}
 	}
 }
@@ -246,13 +261,14 @@ func TestMetricsScrapeRace(t *testing.T) {
 	}
 }
 
-// TestMetricsOverheadGuard is the CI benchmark guard: it measures the
-// per-op wall cost of the Metrics=nil path against the raw engine (the
-// pre-metrics baseline, still reachable as openStore) on a fig9-style
-// read-heavy microbench and fails if the disabled path is more than 2%
-// slower. Timing-sensitive, so it only runs when METRICS_GUARD=1 (the
-// `make metrics-guard` CI step); min-of-rounds keeps scheduler noise
-// out of both sides of the comparison.
+// TestMetricsOverheadGuard is the CI benchmark guard for the disabled
+// path: on a fig9-style read-heavy microbench it times Get on a store
+// opened with Metrics nil against the same store's read stages called
+// directly — lock, reap, guarded engine read: the op path as a build
+// without instruments (or a cold tier) would have it — and fails if the
+// nil checks cost more than 2%. Timing-sensitive, so it only runs when
+// METRICS_GUARD=1 (the `make metrics-guard` CI step); min-of-rounds
+// keeps scheduler noise out of both sides of the comparison.
 func TestMetricsOverheadGuard(t *testing.T) {
 	if os.Getenv("METRICS_GUARD") == "" {
 		t.Skip("set METRICS_GUARD=1 to run the disabled-overhead benchmark guard")
@@ -261,31 +277,28 @@ func TestMetricsOverheadGuard(t *testing.T) {
 	const opsPerRound = 200000
 	const rounds = 5
 
-	build := func(viaOpen bool) Store {
-		opts := Options{Scheme: AriaHash, ExpectedKeys: keys, MeasureOff: true, Seed: 9}
-		var st Store
-		var err error
-		if viaOpen {
-			st, err = Open(opts)
-		} else {
-			st, err = openStore(optsWithDefaults(opts))
-		}
-		if err != nil {
+	st, err := Open(Options{Scheme: AriaHash, ExpectedKeys: keys, MeasureOff: true, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if err := st.Put(testKey(i), testValue(i)); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < keys; i++ {
-			if err := st.Put(testKey(i), testValue(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st
 	}
-	measure := func(st Store) time.Duration {
+	s := st.(*shard)
+	raw := func(key []byte) ([]byte, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		v, _, err := s.get(key)
+		return v, err
+	}
+	measure := func(get func([]byte) ([]byte, error)) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < rounds; r++ {
 			t0 := time.Now()
 			for i := 0; i < opsPerRound; i++ {
-				if _, err := st.Get(testKey(i % keys)); err != nil {
+				if _, err := get(testKey(i % keys)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -295,12 +308,10 @@ func TestMetricsOverheadGuard(t *testing.T) {
 		}
 		return best
 	}
-	raw := build(false)
-	open := build(true)
 	// Warm both paths once before timing.
 	measure(raw)
 	rawBest := measure(raw)
-	openBest := measure(open)
+	openBest := measure(s.Get)
 	overhead := float64(openBest-rawBest) / float64(rawBest)
 	t.Logf("raw=%v open(Metrics=nil)=%v overhead=%+.2f%%", rawBest, openBest, overhead*100)
 	if overhead > 0.02 {

@@ -13,9 +13,10 @@ import (
 	"fmt"
 )
 
-// Replicable is implemented by durable stores whose sealed WAL
-// lineages can be shipped to replicas. A store opened without DataDir
-// reports zero WAL shards, signaling that it cannot be replicated.
+// Replicable is implemented by every store Open returns; the durable
+// ones have sealed WAL lineages that can be shipped to replicas. A store
+// opened without DataDir reports zero WAL shards, signaling that it
+// cannot be replicated.
 type Replicable interface {
 	// WALShards returns the number of independent WAL lineages (one
 	// per shard; zero when the store is not durable).
@@ -40,11 +41,11 @@ type Replicable interface {
 // state cannot replay — and fails loudly instead of silently skipping
 // a sequence number.
 func ApplyWALPayload(st Store, payload []byte) error {
-	op, key, value, err := decodeWalRecord(payload)
+	walOp, key, value, err := decodeWalRecord(payload)
 	if err != nil {
 		return err
 	}
-	switch op {
+	switch walOp {
 	case walOpPut:
 		return st.Put(key, value)
 	case walOpDelete:
@@ -63,11 +64,11 @@ func ApplyWALPayload(st Store, payload []byte) error {
 		if serr != nil {
 			return serr
 		}
-		ea, ok := st.(expiryApplier)
+		ra, ok := st.(recordApplier)
 		if !ok {
 			return fmt.Errorf("aria: store %T cannot apply ttl records", st)
 		}
-		return ea.putExpireAbs(key, v, exp)
+		return ra.putExpireAbs(key, v, exp)
 	case walOpTxn:
 		// The whole transaction applies atomically and re-seals as one
 		// record in the replica's own WAL, preserving the primary's
@@ -76,26 +77,22 @@ func ApplyWALPayload(st Store, payload []byte) error {
 		if derr != nil {
 			return derr
 		}
-		ta, ok := st.(txnApplier)
+		ra, ok := st.(recordApplier)
 		if !ok {
 			return fmt.Errorf("aria: store %T cannot apply txn records", st)
 		}
-		return ta.applyTxnWrites(writes)
+		return ra.applyTxnWrites(writes)
 	default:
-		return fmt.Errorf("aria: unknown wal op %d", op)
+		return fmt.Errorf("aria: unknown wal op %d", walOp)
 	}
 }
 
-// expiryApplier is the internal absolute-deadline write path replicas
-// use: every wrapper in the stack forwards it down to the semantics
-// layer (and the durable layer re-logs the identical record).
-type expiryApplier interface {
+// recordApplier is the write path for the two record kinds the public
+// Store surface cannot express: a put with an already-absolute deadline,
+// and an already-validated transaction. Both stores Open returns
+// implement it; a Store from elsewhere cannot be a replica.
+type recordApplier interface {
 	putExpireAbs(key, value []byte, exp int64) error
-}
-
-// txnApplier is the internal already-validated transaction apply path
-// replicas use, mirroring expiryApplier.
-type txnApplier interface {
 	applyTxnWrites(writes []txnWrite) error
 }
 

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/ariakv/aria/internal/shard"
+	partition "github.com/ariakv/aria/internal/shard"
 )
 
 // ConcurrentStore is implemented by stores that are safe for concurrent
@@ -40,10 +40,10 @@ type Sharded interface {
 	ShardStats(i int) Stats
 }
 
-// openSharded builds Options.Shards independent single-enclave stores,
-// each with a fair split of every EPC budget, behind one concurrent
-// router (the per-tenant EPC split of the paper's §VI-D5, turned into a
-// scale-out unit).
+// openSharded builds Options.Shards independent shards, each with a
+// fair split of every EPC budget, behind one concurrent router (the
+// per-tenant EPC split of the paper's §VI-D5, turned into a scale-out
+// unit).
 func openSharded(opts Options) (Store, error) {
 	n := opts.Shards
 	if opts.DataDir != "" {
@@ -54,32 +54,25 @@ func openSharded(opts Options) (Store, error) {
 			return nil, err
 		}
 	}
-	epcs := shard.SplitBudget(opts.EPCBytes, n)
-	caches := shard.SplitBudget(opts.SecureCacheBytes, n)
-	pins := shard.SplitBudget(opts.PinBudgetBytes, n)
-	roots := shard.SplitBudget(opts.ShieldStoreRootBytes, n)
-	keys := shard.SplitKeys(opts.ExpectedKeys, n)
+	epcs := partition.SplitBudget(opts.EPCBytes, n)
+	caches := partition.SplitBudget(opts.SecureCacheBytes, n)
+	pins := partition.SplitBudget(opts.PinBudgetBytes, n)
+	roots := partition.SplitBudget(opts.ShieldStoreRootBytes, n)
+	keys := partition.SplitKeys(opts.ExpectedKeys, n)
 	s := &shardedStore{
-		shards:   make([]Store, n),
-		mus:      make([]sync.Mutex, n),
-		router:   shard.NewRouter(n),
-		scheme:   opts.Scheme,
-		maxKey:   opts.MaxKeySize,
-		maxValue: opts.MaxValueSize,
+		shards: make([]*shard, n),
+		router: partition.NewRouter(n),
+		scheme: opts.Scheme,
 	}
-	// Mirror the engines' limit defaults (see semStore): cross-shard
-	// transactions pre-validate sizes up front, so no shard can reject a
-	// write after another shard already applied its part.
-	if s.maxKey <= 0 {
-		s.maxKey = 256
-	}
-	if s.maxValue <= 0 {
-		s.maxValue = 4096
-	}
+	// Cross-shard transactions pre-validate sizes up front, so no shard
+	// can reject a write after another shard already applied its part.
+	s.maxKey, s.maxValue = txnLimits(opts)
 	// Shards build in parallel: with Options.DataDir each shard owns a
 	// WAL+snapshot lineage in its shard-<i> subdirectory, and crash
 	// recovery (snapshot load + WAL replay) runs concurrently across
-	// shards — N independent enclaves recovering at once.
+	// shards — N independent enclaves recovering at once. Each gets its
+	// own instruments, labelled shard="i": the per-shard breakout the
+	// aggregate Stats() cannot give.
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -91,36 +84,22 @@ func openSharded(opts Options) (Store, error) {
 		so.ShieldStoreRootBytes = roots[i]
 		so.ExpectedKeys = keys
 		so.Seed = opts.Seed + uint64(i)
+		dir := ""
+		if opts.DataDir != "" {
+			dir = filepath.Join(opts.DataDir, fmt.Sprintf("shard-%d", i))
+		}
 		wg.Add(1)
-		go func(i int, so Options) {
+		go func(i int) {
 			defer wg.Done()
-			st, err := openStore(so)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if opts.DataDir != "" {
-				st, err = openDurable(st, so, filepath.Join(opts.DataDir, fmt.Sprintf("shard-%d", i)))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-			}
-			if opts.Metrics != nil {
-				// Each shard gets its own instruments, labelled
-				// shard="i": the per-shard breakout the aggregate
-				// Stats() cannot give.
-				st = meter(st, opts.Metrics, strconv.Itoa(i))
-			}
-			s.shards[i] = st
-		}(i, so)
+			s.shards[i], errs[i] = openShard(so, dir, strconv.Itoa(i))
+		}(i)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		// Close whatever opened so no WAL file handles leak.
-		for _, st := range s.shards {
-			if d, ok := st.(Durable); ok {
-				d.Close()
+		for _, sh := range s.shards {
+			if sh != nil {
+				sh.Close()
 			}
 		}
 		return nil, err
@@ -128,20 +107,23 @@ func openSharded(opts Options) (Store, error) {
 	return s, nil
 }
 
-// shardedStore routes every operation to the shard owning its key and
-// serializes per shard, so operations on different shards run truly
-// concurrently — N enclave threads instead of one. Each shard carries its
-// own integrity guard: a quarantined key on shard 3 degrades shard 3
-// only, and the other shards keep serving untouched.
+// shardedStore routes every operation to the shard owning its key.
+// Each shard serializes on its own lock, so operations on different
+// shards run truly concurrently — N enclave threads instead of one —
+// and the router itself holds no lock and no state beyond the round-robin
+// cursor. Each shard carries its own integrity guard: a quarantined key
+// on shard 3 degrades shard 3 only, and the other shards keep serving
+// untouched.
 type shardedStore struct {
-	shards   []Store
-	mus      []sync.Mutex // one per shard: each engine models one enclave thread
-	router   shard.Router
+	shards   []*shard
+	router   partition.Router
 	scheme   Scheme
 	maxKey   int
 	maxValue int
 	rr       atomic.Uint64 // round-robin for charges not tied to a key
 }
+
+func (s *shardedStore) pick(key []byte) *shard { return s.shards[s.router.Pick(key)] }
 
 func (s *shardedStore) ConcurrentSafe() bool { return true }
 
@@ -149,98 +131,47 @@ func (s *shardedStore) NumShards() int { return len(s.shards) }
 
 func (s *shardedStore) ShardFor(key []byte) int { return s.router.Pick(key) }
 
-func (s *shardedStore) ShardStats(i int) Stats {
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].Stats()
-}
+func (s *shardedStore) ShardStats(i int) Stats { return s.shards[i].Stats() }
 
-// WALShards implements Replicable: one lineage per shard when every
-// shard is durable, zero (not replicable) otherwise.
-func (s *shardedStore) WALShards() int {
-	for _, sh := range s.shards {
-		r, ok := sh.(Replicable)
-		if !ok || r.WALShards() == 0 {
-			return 0
-		}
-	}
-	return len(s.shards)
-}
+// WALShards implements Replicable: one lineage per shard when the
+// shards are durable, zero (not replicable) otherwise.
+func (s *shardedStore) WALShards() int { return len(s.shards) * s.shards[0].WALShards() }
 
 // WALShardDir implements Replicable for shard i's lineage.
-func (s *shardedStore) WALShardDir(i int) string {
-	return s.shards[i].(Replicable).WALShardDir(0)
-}
+func (s *shardedStore) WALShardDir(i int) string { return s.shards[i].WALShardDir(0) }
 
 // WALShardNextSeq implements Replicable for shard i's lineage (the
 // shard's own lock serializes against concurrent appends).
-func (s *shardedStore) WALShardNextSeq(i int) uint64 {
-	return s.shards[i].(Replicable).WALShardNextSeq(0)
-}
+func (s *shardedStore) WALShardNextSeq(i int) uint64 { return s.shards[i].WALShardNextSeq(0) }
 
 // SetCommitHook implements Replicable, fanning the same hook out to
 // every shard's lineage.
 func (s *shardedStore) SetCommitHook(fn func()) {
 	for _, sh := range s.shards {
-		if r, ok := sh.(Replicable); ok {
-			r.SetCommitHook(fn)
-		}
+		sh.SetCommitHook(fn)
 	}
 }
 
-func (s *shardedStore) Put(key, value []byte) error {
-	i := s.router.Pick(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].Put(key, value)
-}
+func (s *shardedStore) Put(key, value []byte) error { return s.pick(key).Put(key, value) }
 
-func (s *shardedStore) Get(key []byte) ([]byte, error) {
-	i := s.router.Pick(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].Get(key)
-}
+func (s *shardedStore) Get(key []byte) ([]byte, error) { return s.pick(key).Get(key) }
 
-func (s *shardedStore) Delete(key []byte) error {
-	i := s.router.Pick(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].Delete(key)
-}
+func (s *shardedStore) Delete(key []byte) error { return s.pick(key).Delete(key) }
 
-func (s *shardedStore) GetV(key []byte) ([]byte, uint64, error) {
-	i := s.router.Pick(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].GetV(key)
-}
+func (s *shardedStore) GetV(key []byte) ([]byte, uint64, error) { return s.pick(key).GetV(key) }
 
 func (s *shardedStore) CompareAndSwap(key, value []byte, expect uint64) error {
-	i := s.router.Pick(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].CompareAndSwap(key, value, expect)
+	return s.pick(key).CompareAndSwap(key, value, expect)
 }
 
 func (s *shardedStore) PutTTL(key, value []byte, ttl time.Duration) error {
-	i := s.router.Pick(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].PutTTL(key, value, ttl)
+	return s.pick(key).PutTTL(key, value, ttl)
 }
 
-// putExpireAbs implements expiryApplier (the replica apply path),
+// putExpireAbs implements recordApplier (the replica apply path),
 // routing the absolute-deadline write to the shard owning the key.
 func (s *shardedStore) putExpireAbs(key, value []byte, exp int64) error {
-	i := s.router.Pick(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	ea, ok := s.shards[i].(expiryApplier)
-	if !ok {
-		return fmt.Errorf("aria: shard %d (%T) cannot apply ttl records", i, s.shards[i])
-	}
-	return ea.putExpireAbs(key, value, exp)
+	return s.pick(key).putExpireAbs(key, value, exp)
 }
 
 // ---- transactions across shards --------------------------------------------------
@@ -288,20 +219,13 @@ func (s *shardedStore) TxnCommit(ops []TxnOp) error {
 		groups[sh] = append(groups[sh], ops[i])
 	}
 	if len(involved) == 1 {
-		sh := involved[0]
-		s.mus[sh].Lock()
-		defer s.mus[sh].Unlock()
-		return s.shards[sh].TxnCommit(groups[sh])
+		return s.shards[involved[0]].TxnCommit(ops)
 	}
 	sort.Ints(involved)
 	for _, sh := range involved {
-		s.mus[sh].Lock()
+		s.shards[sh].mu.Lock()
+		defer s.shards[sh].mu.Unlock()
 	}
-	defer func() {
-		for _, sh := range involved {
-			s.mus[sh].Unlock()
-		}
-	}()
 	// Phase 1: validate every shard's read set while all locks are held.
 	// A failure here aborts with zero writes applied anywhere.
 	for _, sh := range involved {
@@ -309,7 +233,7 @@ func (s *shardedStore) TxnCommit(ops []TxnOp) error {
 		if len(checks) == 0 {
 			continue
 		}
-		if err := s.shards[sh].TxnCommit(checks); err != nil {
+		if err := s.shards[sh].txnCommit(checks); err != nil {
 			return err
 		}
 	}
@@ -322,7 +246,7 @@ func (s *shardedStore) TxnCommit(ops []TxnOp) error {
 		if len(writes) == 0 {
 			continue
 		}
-		if err := s.shards[sh].TxnCommit(writes); err != nil {
+		if err := s.shards[sh].txnCommit(writes); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", sh, err))
 		}
 	}
@@ -357,74 +281,63 @@ func txnWritesOnly(ops []TxnOp) []TxnOp {
 	return writes
 }
 
-// applyTxnWrites implements txnApplier (the replica apply path). A
-// replicated txn record comes from one primary shard's lineage, but the
-// writes are grouped and routed anyway so the method is correct even if
-// a future lineage mixes shards.
+// applyTxnWrites implements recordApplier (the replica apply path). A
+// replicated txn record comes from one primary shard's lineage and the
+// manifest pins the replica to the same shard count, so its writes route
+// to one shard here too, which re-seals them as one record.
 func (s *shardedStore) applyTxnWrites(writes []txnWrite) error {
-	groups := make([][]txnWrite, len(s.shards))
-	involved := make([]int, 0, 1)
+	if len(writes) == 0 {
+		return nil
+	}
+	sh := s.router.Pick(writes[0].key)
 	for i := range writes {
-		sh := s.router.Pick(writes[i].key)
-		if len(groups[sh]) == 0 {
-			involved = append(involved, sh)
-		}
-		groups[sh] = append(groups[sh], writes[i])
-	}
-	sort.Ints(involved)
-	for _, sh := range involved {
-		s.mus[sh].Lock()
-	}
-	defer func() {
-		for _, sh := range involved {
-			s.mus[sh].Unlock()
-		}
-	}()
-	for _, sh := range involved {
-		ta, ok := s.shards[sh].(txnApplier)
-		if !ok {
-			return fmt.Errorf("aria: shard %d (%T) cannot apply txn records", sh, s.shards[sh])
-		}
-		if err := ta.applyTxnWrites(groups[sh]); err != nil {
-			return err
+		if s.router.Pick(writes[i].key) != sh {
+			return fmt.Errorf("%w: replicated txn record spans shards %d and %d (replica diverged)",
+				ErrIntegrity, sh, s.router.Pick(writes[i].key))
 		}
 	}
-	return nil
+	return s.shards[sh].applyTxnWrites(writes)
 }
 
 // ---- batched operations across shards -------------------------------------------
 
-// splitIdx partitions batch positions by owning shard: splitIdx(keys)[sh]
-// lists the positions in the original batch whose keys route to shard sh.
-// Keeping positions (not keys) is what makes reassembly order-preserving.
-func (s *shardedStore) splitIdx(keys [][]byte) [][]int {
+// scatter partitions batch positions by owning shard — positions, not
+// keys, which is what makes reassembly order-preserving — and fans one
+// sub-batch per involved shard out to parallel goroutines: N enclaves
+// each entered once. run receives the shard and its batch positions and
+// returns the sub-batch's positional errors, which scatter folds back
+// into the caller's positions.
+func (s *shardedStore) scatter(n int, key func(i int) []byte, run func(sh *shard, idx []int) []error) []error {
 	pos := make([][]int, len(s.shards))
-	for i, k := range keys {
-		sh := s.router.Pick(k)
+	for i := 0; i < n; i++ {
+		sh := s.router.Pick(key(i))
 		pos[sh] = append(pos[sh], i)
 	}
-	return pos
-}
-
-// scatter fans one sub-batch per involved shard out to parallel
-// goroutines — N enclaves each entered once — and waits for all of them.
-// run receives the shard index and that shard's batch positions under the
-// shard's lock.
-func (s *shardedStore) scatter(pos [][]int, run func(sh int, idx []int)) {
 	var wg sync.WaitGroup
+	var emu sync.Mutex
+	var errs []error
 	for sh, idx := range pos {
 		if len(idx) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(sh int, idx []int) {
+		go func(sh *shard, idx []int) {
 			defer wg.Done()
-			s.mus[sh].Lock()
-			defer s.mus[sh].Unlock()
-			run(sh, idx)
-		}(sh, idx)
+			es := run(sh, idx)
+			if es == nil {
+				return
+			}
+			emu.Lock()
+			defer emu.Unlock()
+			for j, p := range idx {
+				if es[j] != nil {
+					errs = batchErr(errs, n, p, es[j])
+				}
+			}
+		}(s.shards[sh], idx)
 	}
 	wg.Wait()
+	return errs
 }
 
 // MGet fans the batch out across shards in parallel and reassembles the
@@ -432,27 +345,16 @@ func (s *shardedStore) scatter(pos [][]int, run func(sh int, idx []int)) {
 // enclave entry for its sub-batch.
 func (s *shardedStore) MGet(keys [][]byte) ([][]byte, []error) {
 	vals := make([][]byte, len(keys))
-	var emu sync.Mutex
-	var errs []error
-	s.scatter(s.splitIdx(keys), func(sh int, idx []int) {
+	errs := s.scatter(len(keys), func(i int) []byte { return keys[i] }, func(sh *shard, idx []int) []error {
 		sub := make([][]byte, len(idx))
 		for j, p := range idx {
 			sub[j] = keys[p]
 		}
-		vs, es := s.shards[sh].MGet(sub)
+		vs, es := sh.MGet(sub)
 		for j, p := range idx {
 			vals[p] = vs[j] // disjoint positions: goroutines never collide
 		}
-		if es == nil {
-			return
-		}
-		emu.Lock()
-		defer emu.Unlock()
-		for j, p := range idx {
-			if es[j] != nil {
-				errs = batchErr(errs, len(keys), p, es[j])
-			}
-		}
+		return es
 	})
 	return vals, errs
 }
@@ -460,55 +362,25 @@ func (s *shardedStore) MGet(keys [][]byte) ([][]byte, []error) {
 // MPut fans the write batch out across shards in parallel with the same
 // order-preserving reassembly as MGet.
 func (s *shardedStore) MPut(pairs []KV) []error {
-	keys := make([][]byte, len(pairs))
-	for i, p := range pairs {
-		keys[i] = p.Key
-	}
-	var emu sync.Mutex
-	var errs []error
-	s.scatter(s.splitIdx(keys), func(sh int, idx []int) {
+	return s.scatter(len(pairs), func(i int) []byte { return pairs[i].Key }, func(sh *shard, idx []int) []error {
 		sub := make([]KV, len(idx))
 		for j, p := range idx {
 			sub[j] = pairs[p]
 		}
-		es := s.shards[sh].MPut(sub)
-		if es == nil {
-			return
-		}
-		emu.Lock()
-		defer emu.Unlock()
-		for j, p := range idx {
-			if es[j] != nil {
-				errs = batchErr(errs, len(pairs), p, es[j])
-			}
-		}
+		return sh.MPut(sub)
 	})
-	return errs
 }
 
 // MDelete fans the delete batch out across shards in parallel with the
 // same order-preserving reassembly as MGet.
 func (s *shardedStore) MDelete(keys [][]byte) []error {
-	var emu sync.Mutex
-	var errs []error
-	s.scatter(s.splitIdx(keys), func(sh int, idx []int) {
+	return s.scatter(len(keys), func(i int) []byte { return keys[i] }, func(sh *shard, idx []int) []error {
 		sub := make([][]byte, len(idx))
 		for j, p := range idx {
 			sub[j] = keys[p]
 		}
-		es := s.shards[sh].MDelete(sub)
-		if es == nil {
-			return
-		}
-		emu.Lock()
-		defer emu.Unlock()
-		for j, p := range idx {
-			if es[j] != nil {
-				errs = batchErr(errs, len(keys), p, es[j])
-			}
-		}
+		return sh.MDelete(sub)
 	})
-	return errs
 }
 
 // Stats aggregates across shards: event and operation counters sum;
@@ -576,61 +448,38 @@ func (s *shardedStore) Stats() Stats {
 	return agg
 }
 
-// Checkpoint snapshots every shard in parallel — N independent
-// WAL+snapshot lineages checkpointing at once — and joins the per-shard
-// errors. Opened without DataDir the shards are not durable and every
-// one reports ErrNotDurable.
-func (s *shardedStore) Checkpoint() error {
+// each runs fn on every shard in parallel and joins the errors.
+func (s *shardedStore) each(fn func(sh *shard) error) error {
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
-	for i := range s.shards {
+	for i, sh := range s.shards {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, sh *shard) {
 			defer wg.Done()
-			s.mus[i].Lock()
-			defer s.mus[i].Unlock()
-			d, ok := s.shards[i].(Durable)
-			if !ok {
-				errs[i] = ErrNotDurable
-				return
-			}
-			errs[i] = d.Checkpoint()
-		}(i)
+			errs[i] = fn(sh)
+		}(i, sh)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
+// Checkpoint snapshots every shard in parallel — N independent
+// WAL+snapshot lineages checkpointing at once — and joins the per-shard
+// errors. Opened without DataDir the shards are not durable and every
+// one reports ErrNotDurable.
+func (s *shardedStore) Checkpoint() error { return s.each((*shard).Checkpoint) }
+
 // Close flushes and closes every durable shard's log. Non-durable
-// shards have nothing to release and close as a no-op, so Close is
+// shards have nothing but a background goroutine to release, so Close is
 // always safe to defer regardless of how the store was opened.
-func (s *shardedStore) Close() error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.mus[i].Lock()
-			defer s.mus[i].Unlock()
-			if d, ok := s.shards[i].(Durable); ok {
-				errs[i] = d.Close()
-			}
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+func (s *shardedStore) Close() error { return s.each((*shard).Close) }
 
 // VerifyIntegrity audits every shard and joins their errors, so one
 // tampered shard cannot mask — or abort the audit of — the others.
 func (s *shardedStore) VerifyIntegrity() error {
 	var errs []error
-	for i := range s.shards {
-		s.mus[i].Lock()
-		err := s.shards[i].VerifyIntegrity()
-		s.mus[i].Unlock()
-		if err != nil {
+	for _, sh := range s.shards {
+		if err := sh.VerifyIntegrity(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -638,18 +487,14 @@ func (s *shardedStore) VerifyIntegrity() error {
 }
 
 func (s *shardedStore) SetMeasuring(on bool) {
-	for i := range s.shards {
-		s.mus[i].Lock()
-		s.shards[i].SetMeasuring(on)
-		s.mus[i].Unlock()
+	for _, sh := range s.shards {
+		sh.SetMeasuring(on)
 	}
 }
 
 func (s *shardedStore) ResetStats() {
-	for i := range s.shards {
-		s.mus[i].Lock()
-		s.shards[i].ResetStats()
-		s.mus[i].Unlock()
+	for _, sh := range s.shards {
+		sh.ResetStats()
 	}
 }
 
@@ -659,20 +504,11 @@ func (s *shardedStore) ResetStats() {
 // point operations on other shards proceed while a scan runs. Schemes
 // without an ordered index return ErrNoScan, same as unsharded.
 func (s *shardedStore) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	scans := make([]shard.ScanFunc, len(s.shards))
-	for i := range s.shards {
-		i := i
-		scans[i] = func(start, end []byte, fn func(k, v []byte) bool) error {
-			s.mus[i].Lock()
-			defer s.mus[i].Unlock()
-			r, ok := s.shards[i].(Ranger)
-			if !ok {
-				return ErrNoScan
-			}
-			return r.Scan(start, end, fn)
-		}
+	scans := make([]partition.ScanFunc, len(s.shards))
+	for i, sh := range s.shards {
+		scans[i] = sh.Scan
 	}
-	return shard.Merge(scans, start, end, 0, fn)
+	return partition.Merge(scans, start, end, 0, fn)
 }
 
 // ChargeEcall distributes per-request enclave-entry charges round-robin:
@@ -680,12 +516,7 @@ func (s *shardedStore) Scan(start, end []byte, fn func(key, value []byte) bool) 
 // crosses the trust boundary, and over many requests the charge lands
 // evenly, matching N enclaves each paying their own entries.
 func (s *shardedStore) ChargeEcall() {
-	i := int(s.rr.Add(1)-1) % len(s.shards)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	if ec, ok := s.shards[i].(EdgeCaller); ok {
-		ec.ChargeEcall()
-	}
+	s.shards[int(s.rr.Add(1)-1)%len(s.shards)].ChargeEcall()
 }
 
 // ---- fault injection across shards ---------------------------------------------
@@ -696,28 +527,14 @@ func (s *shardedStore) ChargeEcall() {
 // everything in the EPC (baselines) contribute zero bytes. Every access
 // takes the shard's lock: the enclave simulator's arenas are plain
 // memory, so an unlocked read (even a size probe) races with concurrent
-// writers on other goroutines — the -race-visible hole these helpers had
-// before the metrics scrape path made concurrent snapshots routine.
-
-// corrupter returns shard i's Corrupter surface under its lock, or nil.
-func (s *shardedStore) corrupter(i int) (Corrupter, func()) {
-	s.mus[i].Lock()
-	c, ok := s.shards[i].(Corrupter)
-	if !ok {
-		s.mus[i].Unlock()
-		return nil, nil
-	}
-	return c, s.mus[i].Unlock
-}
+// writers on other goroutines. An arena only grows, so an offset that a
+// size probe placed inside one stays inside it.
 
 // UntrustedSize implements Corrupter across shards.
 func (s *shardedStore) UntrustedSize() int {
 	total := 0
-	for i := range s.shards {
-		if c, unlock := s.corrupter(i); c != nil {
-			total += c.UntrustedSize()
-			unlock()
-		}
+	for _, sh := range s.shards {
+		total += sh.UntrustedSize()
 	}
 	return total
 }
@@ -728,18 +545,11 @@ func (s *shardedStore) FlipUntrustedByte(offset int, mask byte) bool {
 	if offset < 0 {
 		return false
 	}
-	for i := range s.shards {
-		c, unlock := s.corrupter(i)
-		if c == nil {
-			continue
-		}
-		n := c.UntrustedSize()
+	for _, sh := range s.shards {
+		n := sh.UntrustedSize()
 		if offset < n {
-			flipped := c.FlipUntrustedByte(offset, mask)
-			unlock()
-			return flipped
+			return sh.FlipUntrustedByte(offset, mask)
 		}
-		unlock()
 		offset -= n
 	}
 	return false
@@ -748,11 +558,8 @@ func (s *shardedStore) FlipUntrustedByte(offset int, mask byte) bool {
 // SnapshotUntrusted implements Corrupter across shards.
 func (s *shardedStore) SnapshotUntrusted() []byte {
 	var out []byte
-	for i := range s.shards {
-		if c, unlock := s.corrupter(i); c != nil {
-			out = append(out, c.SnapshotUntrusted()...)
-			unlock()
-		}
+	for _, sh := range s.shards {
+		out = append(out, sh.SnapshotUntrusted()...)
 	}
 	return out
 }
@@ -760,19 +567,10 @@ func (s *shardedStore) SnapshotUntrusted() []byte {
 // RestoreUntrusted implements Corrupter across shards, splitting the
 // snapshot back into per-shard arena prefixes.
 func (s *shardedStore) RestoreUntrusted(snap []byte) {
-	for i := range s.shards {
-		c, unlock := s.corrupter(i)
-		if c == nil {
-			continue
-		}
-		n := c.UntrustedSize()
-		if n > len(snap) {
-			n = len(snap)
-		}
-		c.RestoreUntrusted(snap[:n])
-		unlock()
-		snap = snap[n:]
-		if len(snap) == 0 {
+	for _, sh := range s.shards {
+		n := min(sh.UntrustedSize(), len(snap))
+		sh.RestoreUntrusted(snap[:n])
+		if snap = snap[n:]; len(snap) == 0 {
 			return
 		}
 	}

@@ -3,6 +3,8 @@ package aria
 import (
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -46,16 +48,39 @@ func shardedOptions(shards int) Options {
 }
 
 func TestShardsOneIsPlainStore(t *testing.T) {
-	// Shards <= 1 must take exactly today's code path: a single-enclave
-	// store with no routing layer on top.
+	// Shards <= 1 is one enclave with no routing layer on top: not
+	// Sharded, not claiming concurrency safety (frontends keep their
+	// one-lock path), and — when durable — its lineage sits at the top of
+	// DataDir, with no manifest and no shard-0/ subdirectory.
 	for _, n := range []int{0, 1} {
 		opts := shardedOptions(n)
+		opts.DataDir = t.TempDir()
 		st := openShardedStore(t, opts)
 		if _, ok := st.(Sharded); ok {
 			t.Fatalf("Shards=%d produced a sharded store", n)
 		}
 		if cs, ok := st.(ConcurrentStore); ok && cs.ConcurrentSafe() {
 			t.Fatalf("Shards=%d store claims concurrency safety", n)
+		}
+		if err := st.Put(shardKey(0), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.(Durable).Close(); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(opts.DataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal := false
+		for _, e := range entries {
+			if e.IsDir() || e.Name() == manifestName {
+				t.Errorf("Shards=%d wrote %s into DataDir", n, e.Name())
+			}
+			wal = wal || strings.HasPrefix(e.Name(), "wal-")
+		}
+		if !wal {
+			t.Errorf("Shards=%d left no WAL segment at the top of DataDir (%v)", n, entries)
 		}
 	}
 }
@@ -141,27 +166,27 @@ func TestShardedStatsAggregation(t *testing.T) {
 func findShardCorruption(t *testing.T, opts Options, victim int) int {
 	t.Helper()
 	st := loadShardedStore(t, opts)
-	cor := st.(Corrupter)
-	base := 0
-	ss := st.(*shardedStore)
-	for i := 0; i < victim; i++ {
-		base += ss.shards[i].(Corrupter).UntrustedSize()
-	}
-	limit := 65536
-	if n := ss.shards[victim].(Corrupter).UntrustedSize(); n < limit {
-		limit = n
-	}
-	for off := 0; off < limit; off += 61 {
-		cor.FlipUntrustedByte(base+off, 0xA5)
-		broken := 0
+	cor, sh := st.(Corrupter), st.(Sharded)
+	// The shards are configured alike and the router spreads keys evenly,
+	// so shard i's arena starts near i/n of the concatenation. That only
+	// aims the search: a flip counts when every key it breaks routes to
+	// the victim, which is what proves whose memory it hit.
+	total := cor.UntrustedSize()
+	start := total / sh.NumShards() * victim
+	for off := start; off < total && off < start+65536; off += 61 {
+		cor.FlipUntrustedByte(off, 0xA5)
+		broken, elsewhere := 0, 0
 		for i := 0; i < shardTestKeys; i++ {
 			if _, err := st.Get(shardKey(i)); errors.Is(err, ErrIntegrity) {
 				broken++
+				if sh.ShardFor(shardKey(i)) != victim {
+					elsewhere++
+				}
 			}
 		}
-		cor.FlipUntrustedByte(base+off, 0xA5) // undo before deciding
-		if broken >= 1 && broken <= 8 {
-			return base + off
+		cor.FlipUntrustedByte(off, 0xA5) // undo before deciding
+		if broken >= 1 && broken <= 8 && elsewhere == 0 {
+			return off
 		}
 	}
 	return -1
@@ -264,24 +289,28 @@ func TestShardedVerifyIntegrityAuditsAllShards(t *testing.T) {
 	if err := st.VerifyIntegrity(); err != nil {
 		t.Fatalf("clean store failed audit: %v", err)
 	}
-	// Damage the last shard's arena; the joined audit must still surface
-	// ErrIntegrity even though shards 0..2 pass.
-	ss := st.(*shardedStore)
-	base := 0
-	for i := 0; i < 3; i++ {
-		base += ss.shards[i].(Corrupter).UntrustedSize()
-	}
+	// Damage the last shard's arena — the tail of the concatenated address
+	// space; the joined audit must still surface ErrIntegrity even though
+	// shards 0..2 pass.
+	cor, sh := st.(Corrupter), st.(Sharded)
+	total := cor.UntrustedSize()
 	tampered := false
-	for off := 0; off < 65536; off += 127 {
-		st.(Corrupter).FlipUntrustedByte(base+off, 0xFF)
+	for off := total - 1; off > total-65536 && off >= 0; off -= 127 {
+		cor.FlipUntrustedByte(off, 0xFF)
 		if err := st.VerifyIntegrity(); errors.Is(err, ErrIntegrity) {
 			tampered = true
 			break
 		}
-		st.(Corrupter).FlipUntrustedByte(base+off, 0xFF) // undo and keep looking
+		cor.FlipUntrustedByte(off, 0xFF) // undo and keep looking
 	}
 	if !tampered {
 		t.Skip("no audit-visible flip found at this seed")
+	}
+	last := sh.NumShards() - 1
+	for i := 0; i <= last; i++ {
+		if got := sh.ShardStats(i).IntegrityFailures; (got > 0) != (i == last) {
+			t.Errorf("shard %d counts %d integrity failures after a flip in shard %d's arena", i, got, last)
+		}
 	}
 }
 
