@@ -120,12 +120,13 @@ cover:
 		{ echo "coverage $$total% fell below the $(COVER_BASELINE)% baseline"; exit 1; }
 
 # Deterministic bench-regression smoke: re-run the committed BENCH_*.json
-# snapshots in-process and fail on >5% drift in any table value.
+# snapshots in-process and fail if any table value differs at all (the
+# simulated clock is exact; ccold and wire are pinned by floors instead).
 bench-smoke:
 	BENCH_GUARD=1 $(GO) test -count=1 -run 'TestBenchRegressionGuard|TestBatchAmortizationFloor|TestCcacheSpeedupFloor|TestWireSpeedupFloor|TestYCSBSkewFloor|TestCcoldCrossoverFloor|TestColdSnapshotSizeGuard' -v ./internal/bench
 
 # Prove the smoke guard has teeth: pricing enclave memory 6% higher must
-# push the committed tables out of tolerance.
+# move the committed tables.
 bench-smoke-demo:
 	! BENCH_GUARD=1 ARIA_COST_PERTURB=1.06 $(GO) test -count=1 -run TestBenchRegressionGuard ./internal/bench
 
@@ -143,7 +144,7 @@ bench-json:
 
 # Regenerate the wire-pipelining snapshot on its own. Wall-clock, not
 # simulated: BENCH_wire.json is pinned by the TestWireSpeedupFloor ratio
-# floor, not by the 5% drift guard.
+# floor, not by the exact-match guard.
 bench-wire:
 	$(GO) run ./cmd/aria-bench -exp wire -scale $(BENCH_SCALE) -ops $(BENCH_OPS) -json .
 

@@ -32,7 +32,7 @@ import (
 // and the wall clock, not the simulated cost model — absolute numbers
 // still vary by machine, but the depth-16 speedup over lock-step is
 // pinned (>= 3x) by TestWireSpeedupFloor. The wire snapshot is
-// therefore NOT part of the 5% drift guard.
+// therefore NOT part of the exact-match guard.
 
 func init() {
 	register("wire", "Extension: pipelined multiplexed transport, one-connection throughput vs depth", wireExp)
