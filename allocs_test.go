@@ -2,6 +2,7 @@ package aria
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/ariakv/aria/obs"
 )
@@ -51,5 +52,15 @@ func TestOpPathAllocs(t *testing.T) {
 				t.Errorf("allocs/op: Get %v (budget %v), Put %v (budget %v)", get, tc.get, put, tc.put)
 			}
 		})
+	}
+}
+
+// TestKeyRecSize pins the per-key table's row at 16 bytes: a shard with
+// a million keys and none of the optional state (store_b_big in
+// benchmarks/) must pay no more heap per key than a version and a
+// deadline cost.
+func TestKeyRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(keyRec{}); got != 16 {
+		t.Fatalf("keyRec is %d bytes, want 16", got)
 	}
 }

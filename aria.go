@@ -249,8 +249,9 @@ type Options struct {
 	// (the paper's multi-tenant split, §VI-D5). Operations on different
 	// shards run concurrently; the returned store is safe for use from
 	// multiple goroutines and implements ConcurrentStore and Sharded.
-	// Default 1: a single enclave, identical to the store this option
-	// did not exist for.
+	// Default 1 (0 means the same): a single enclave with no router on
+	// top — not Sharded, not reporting ConcurrentSafe, and, when durable,
+	// keeping its lineage at the top of DataDir.
 	Shards int
 	// DataDir, when non-empty, makes the store durable: every
 	// successful write is sealed (AES-CTR + chained CMAC under
@@ -260,9 +261,9 @@ type Options struct {
 	// valid snapshot plus WAL replay, stopping cleanly at a torn tail
 	// and routing tampered records through IntegrityPolicy. With
 	// Shards > 1 each shard keeps its own lineage in a shard-<i>
-	// subdirectory, recovered in parallel. The returned store
-	// implements Durable. Empty (the default) keeps the store purely
-	// in-memory.
+	// subdirectory, recovered in parallel. Empty (the default) keeps the
+	// store purely in-memory: Durable.Checkpoint then returns
+	// ErrNotDurable.
 	DataDir string
 	// Fsync selects when the WAL flushes (default FsyncBatch: one
 	// fsync per append call, so batched writes group-commit). Only
@@ -311,12 +312,12 @@ type Options struct {
 	// registry: per-operation latency histograms (wall nanoseconds and
 	// simulated cycles), operation/error counters, and scrape-time
 	// enclave event counters (page swaps, ECALLs/OCALLs, MACs, Secure
-	// Cache hits/misses), all labelled by shard. The registry becomes the
-	// single synchronized read path into the store's counters, so it is
+	// Cache hits/misses), all labelled by shard. Scrapes read the store's
+	// counters under the same per-shard lock operations take, so it is
 	// safe to scrape while operations run. nil (the default) disables
-	// instrumentation entirely — the returned store is the same object a
-	// build without metrics produces, so the disabled path has zero
-	// overhead. See docs/OPERATIONS.md for the metric catalogue.
+	// instrumentation: nothing is registered, and each operation's
+	// observe step is a nil check that reads no clock and allocates
+	// nothing. See docs/OPERATIONS.md for the metric catalogue.
 	Metrics *obs.Registry
 }
 

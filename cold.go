@@ -112,18 +112,19 @@ func (s *shard) promote(key []byte, countMiss bool) error {
 		return nil
 	}
 	r := s.recs[string(key)]
-	if r.cold == nil {
-		if countMiss && !r.live {
+	rec := r.cold()
+	if rec == nil {
+		if countMiss && !r.is(rowLive) {
 			s.cold.misses++
 		}
 		// Only a live key can be demoted, so only a live key needs the mark.
-		if r.live && !r.touched {
-			r.touched = true
+		if r.bits&(rowLive|rowTouched) == rowLive {
+			r.bits |= rowTouched
 			s.recs[string(key)] = r
 		}
 		return nil
 	}
-	value, err := s.coldValue(r.cold)
+	value, err := s.coldValue(rec)
 	if err != nil {
 		return err
 	}
@@ -132,9 +133,9 @@ func (s *shard) promote(key []byte, countMiss bool) error {
 	}
 	s.cold.hits++
 	s.cold.keys--
-	s.cold.resident -= len(r.cold.comp)
-	r.cold, r.touched = nil, true
-	s.recs[string(key)] = r
+	s.cold.resident -= len(rec.comp)
+	r.bits |= rowTouched
+	s.recs[string(key)] = r.with(r.exp(), nil)
 	return nil
 }
 
@@ -147,7 +148,7 @@ func (s *shard) promoteRange(start, end []byte) error {
 	}
 	var hit []string
 	for k, r := range s.recs {
-		if r.cold != nil && string(start) <= k && (end == nil || k < string(end)) {
+		if r.cold() != nil && string(start) <= k && (end == nil || k < string(end)) {
 			hit = append(hit, k)
 		}
 	}
@@ -164,8 +165,8 @@ func (s *shard) promoteRange(start, end []byte) error {
 // engine or cold tier — without changing its residency, so a checkpoint
 // does not promote the whole keyspace.
 func (s *shard) valueOf(k string) ([]byte, keyRec, error) {
-	if r := s.recs[k]; r.cold != nil {
-		v, err := s.coldValue(r.cold)
+	if r := s.recs[k]; r.cold() != nil {
+		v, err := s.coldValue(r.cold())
 		return v, r, err
 	}
 	return s.get([]byte(k))
@@ -203,14 +204,14 @@ func (s *shard) checkpointCold() error {
 	col := segment.NewCollector(d.liveKeys)
 	for k, r := range s.recs {
 		switch {
-		case r.live && (full || r.dirty):
+		case r.is(rowLive) && (full || r.is(rowDirty)):
 			v, r, err := s.valueOf(k)
 			if skip, err := s.unpersistable(k, err); err != nil {
 				return err
 			} else if !skip {
-				col.Add([]byte(k), encodeSnapValue(v, r.ver, r.exp), false)
+				col.Add([]byte(k), encodeSnapValue(v, r.ver(), r.exp()), false)
 			}
-		case r.dirty && !full:
+		case r.is(rowDirty) && !full:
 			col.Add([]byte(k), nil, true) // deleted since the last segment
 		}
 	}
@@ -283,11 +284,11 @@ func (s *shard) checkpointCold() error {
 func (s *shard) demote() {
 	var cands []string
 	for k, r := range s.recs {
-		if r.live && !r.touched && r.cold == nil {
+		if r.bits&(rowLive|rowTouched) == rowLive && r.cold() == nil {
 			cands = append(cands, k)
 		}
-		if r.dirty || r.touched {
-			if r.dirty, r.touched = false, false; r == (keyRec{}) {
+		if r.bits&(rowDirty|rowTouched) != 0 {
+			if r.bits &^= rowDirty | rowTouched; r == (keyRec{}) {
 				delete(s.recs, k) // a deleted key's tombstone, now persisted
 			} else {
 				s.recs[k] = r
@@ -329,8 +330,7 @@ func (s *shard) demote() {
 			continue // could not evict: the key simply stays resident
 		}
 		r := s.recs[p.k]
-		r.cold = &coldRec{comp: comp, rawLen: len(p.v), raw: raw, dict: dict}
-		s.recs[p.k] = r
+		s.recs[p.k] = r.with(r.exp(), &coldRec{comp: comp, rawLen: len(p.v), raw: raw, dict: dict})
 		c.keys++
 		c.resident += len(comp)
 		c.compRaw += uint64(len(p.v))

@@ -512,16 +512,16 @@ func (s *shard) note(key []byte, live bool) { s.noteIn(s.dur, key, live, true) }
 // (written false).
 func (s *shard) noteIn(d *durable, key []byte, live, written bool) {
 	r := s.recs[string(key)]
-	if live != r.live {
-		r.live = live
-		if live {
-			d.liveKeys++
-		} else {
-			d.liveKeys--
-		}
+	switch {
+	case live && !r.is(rowLive):
+		r.bits |= rowLive
+		d.liveKeys++
+	case !live && r.is(rowLive):
+		r.bits &^= rowLive
+		d.liveKeys--
 	}
 	if s.cold != nil && written {
-		r.dirty, r.touched = true, true
+		r.bits |= rowDirty | rowTouched
 	}
 	s.putRec(key, r)
 }
@@ -594,7 +594,7 @@ func (s *shard) checkpoint() error {
 	// snapshots) and reads each key.
 	names := make([]string, 0, d.liveKeys)
 	for k, r := range s.recs {
-		if r.live {
+		if r.is(rowLive) {
 			names = append(names, k)
 		}
 	}
@@ -611,7 +611,7 @@ func (s *shard) checkpoint() error {
 		if skip, err := s.unpersistable(k, err); err != nil {
 			return err
 		} else if !skip {
-			pairs = append(pairs, wal.Pair{Key: []byte(k), Value: encodeSnapValue(v, r.ver, r.exp)})
+			pairs = append(pairs, wal.Pair{Key: []byte(k), Value: encodeSnapValue(v, r.ver(), r.exp())})
 		}
 	}
 	bytes, err := wal.WriteSnapshot(d.dir, d.sealer, covered, pairs)
@@ -650,7 +650,7 @@ func (s *shard) unpersistable(k string, err error) (bool, error) {
 	case err == nil:
 		return false, nil
 	case errors.Is(err, ErrNotFound):
-		// The shadow set overapproximates (see keyRec.live); skip.
+		// The shadow set overapproximates (see rowLive); skip.
 		return true, nil
 	case errors.Is(err, ErrIntegrity) && s.policy == Quarantine:
 		// A poisoned key has no trustworthy value to persist; the

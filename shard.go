@@ -1,6 +1,6 @@
 package aria
 
-// The op path (DESIGN.md §7). One shard is one simulated enclave: one
+// The op path (DESIGN.md §16). One shard is one simulated enclave: one
 // lock, one engine, one per-key table, and — nil unless configured — a
 // WAL lineage (durable.go), a cold tier (cold.go) and instruments
 // (metrics.go). Every operation takes the lock once and runs the same
@@ -35,19 +35,64 @@ import (
 	"github.com/ariakv/aria/internal/sgx"
 )
 
-// keyRec is one key's row in the shard's table. A row exists while any
-// field is set and is dropped when the last one clears.
+// keyRec is one key's row in the shard's table: 16 bytes by value —
+// what a version and a deadline alone would cost — so a shard that uses
+// none of the optional state pays nothing per key for carrying it. A row
+// exists while anything in it is set and is dropped when the last thing
+// clears.
 type keyRec struct {
-	ver  uint64   // version stamped by the last write; 0 = the engine holds no value
+	// bits is the version stamped by the last write (0 = the engine holds
+	// no value) in the low 61 bits — more writes than a shard will see —
+	// and three flags above it. rowLive marks membership of the shadow
+	// key set the checkpointer walks (hash indexes cannot enumerate); it
+	// is set and cleared by logged writes only, so it overapproximates:
+	// reaping an expired key logs nothing. rowDirty = written since the
+	// last segment checkpoint; rowTouched = accessed since then (the
+	// demotion filter). rowLive is kept on durable shards only, the other
+	// two under ColdCompress only.
+	bits uint64
+	// more is nil for the common row: no deadline, value in the engine.
+	more *rowMore
+}
+
+// rowMore is what the uncommon row also has. It is never mutated in
+// place: with replaces it.
+type rowMore struct {
 	exp  int64    // absolute expiry deadline, unix nanos; 0 = never
 	cold *coldRec // the demoted value; non-nil = held in the cold tier, not the engine
-	// live marks membership of the shadow key set the checkpointer walks
-	// (hash indexes cannot enumerate). It is set and cleared by logged
-	// writes only, so it overapproximates: reaping an expired key logs
-	// nothing. dirty = written since the last segment checkpoint; touched
-	// = accessed since then (the demotion filter). live is kept on durable
-	// shards only, dirty and touched under ColdCompress only.
-	live, dirty, touched bool
+}
+
+const (
+	rowLive    uint64 = 1 << 63
+	rowDirty   uint64 = 1 << 62
+	rowTouched uint64 = 1 << 61
+	rowVersion        = rowTouched - 1
+)
+
+func (r keyRec) ver() uint64         { return r.bits & rowVersion }
+func (r keyRec) is(flag uint64) bool { return r.bits&flag != 0 }
+
+func (r keyRec) exp() int64 {
+	if r.more == nil {
+		return 0
+	}
+	return r.more.exp
+}
+
+func (r keyRec) cold() *coldRec {
+	if r.more == nil {
+		return nil
+	}
+	return r.more.cold
+}
+
+// with returns r with its deadline and demoted value replaced.
+func (r keyRec) with(exp int64, cold *coldRec) keyRec {
+	r.more = nil
+	if exp != 0 || cold != nil {
+		r.more = &rowMore{exp: exp, cold: cold}
+	}
+	return r
 }
 
 // txnWrite is one resolved transaction write: TTLs have been converted
@@ -162,11 +207,11 @@ func (s *shard) putRec(key []byte, r keyRec) {
 
 // stamp records a write's outcome in key's row: a put's fresh version
 // and deadline (a plain put over a TTL key clears the TTL), or zeroes
-// for a delete.
+// for a delete. The key is resident: every write promotes it first.
 func (s *shard) stamp(key []byte, ver uint64, exp int64) {
 	r := s.recs[string(key)]
-	r.ver, r.exp = ver, exp
-	s.putRec(key, r)
+	r.bits = r.bits&^rowVersion | ver&rowVersion
+	s.putRec(key, r.with(exp, nil))
 }
 
 // reap looks key's row up and, if its deadline has passed, reclaims the
@@ -174,12 +219,12 @@ func (s *shard) stamp(key []byte, ver uint64, exp int64) {
 // the row forgets the version. Nothing is logged and live stays set, so
 // the shadow key set overapproximates until the next logged write.
 func (s *shard) reap(key []byte) (keyRec, bool) {
-	r, ok := s.recs[string(key)]
-	if !ok || r.exp == 0 || s.now().UnixNano() < r.exp {
+	r := s.recs[string(key)]
+	if exp := r.exp(); exp == 0 || s.now().UnixNano() < exp {
 		return r, false
 	}
 	_ = s.engineDelete(key) // an expired key is absent whether or not this lands
-	r.ver, r.exp = 0, 0
+	r = keyRec{bits: r.bits &^ rowVersion}
 	s.putRec(key, r)
 	s.ttlExpired++
 	return r, true
@@ -265,7 +310,7 @@ func (s *shard) read(key []byte) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return v, r.ver, nil
+	return v, r.ver(), nil
 }
 
 func (s *shard) Get(key []byte) ([]byte, error) {
@@ -318,9 +363,9 @@ func (s *shard) apply(o op) error {
 	case opKindCAS:
 		// The check reads only the trusted row, so a lost CAS costs no
 		// untrusted access beyond reclaiming an expired key.
-		if r, _ := s.reap(o.key); r.ver != o.expect {
+		if r, _ := s.reap(o.key); r.ver() != o.expect {
 			s.casMismatches++
-			return fmt.Errorf("%w: key at version %d, expected %d", ErrCASMismatch, r.ver, o.expect)
+			return fmt.Errorf("%w: key at version %d, expected %d", ErrCASMismatch, r.ver(), o.expect)
 		}
 	}
 	if o.kind == opKindDelete {
@@ -579,9 +624,9 @@ func (s *shard) txnStages(ops []TxnOp) error {
 		if !ops[i].Check {
 			continue
 		}
-		if r, _ := s.reap(ops[i].Key); r.ver != ops[i].Version {
+		if r, _ := s.reap(ops[i].Key); r.ver() != ops[i].Version {
 			s.txnConflicts++
-			return fmt.Errorf("%w: key at version %d, expected %d", ErrTxnConflict, r.ver, ops[i].Version)
+			return fmt.Errorf("%w: key at version %d, expected %d", ErrTxnConflict, r.ver(), ops[i].Version)
 		}
 	}
 	if err := s.applyTxn(writes); err != nil {
@@ -899,11 +944,11 @@ func (s *shard) sweepOnce() {
 	s.enc.Ecall()
 	nowN := s.now().UnixNano()
 	for k, r := range s.recs {
-		if r.cold != nil || r.exp == 0 || nowN < r.exp {
+		if r.more == nil || r.more.cold != nil || r.more.exp == 0 || nowN < r.more.exp {
 			continue
 		}
 		_ = s.engineDelete([]byte(k))
-		if r.ver, r.exp = 0, 0; r == (keyRec{}) {
+		if r = (keyRec{bits: r.bits &^ rowVersion}); r.bits == 0 {
 			delete(s.recs, k)
 		} else {
 			s.recs[k] = r
