@@ -108,9 +108,13 @@ func (s *shard) coldValue(rec *coldRec) ([]byte, error) {
 // demoted key. countMiss is set on read paths so ColdMisses means "read
 // fell past the cold tier", not "fresh key inserted".
 func (s *shard) promote(key []byte, countMiss bool) error {
-	if s.cold == nil {
+	if s.cold == nil { // kept this small so the disabled path inlines to the check
 		return nil
 	}
+	return s.promoteCold(key, countMiss)
+}
+
+func (s *shard) promoteCold(key []byte, countMiss bool) error {
 	r := s.recs[string(key)]
 	rec := r.cold()
 	if rec == nil {

@@ -31,9 +31,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if rq.op >= opMGet && rq.op <= opMDelete {
-			// Batch requests carry mkeys/mvals, not key/value; their
-			// round trip is FuzzDecodeBatchRequest's job.
+		if rq.op >= opMGet && rq.op <= opMDelete || rq.op == opTxnCommit {
+			// Batch requests carry mkeys/mvals and a transaction its op
+			// list, not key/value; their round trips are
+			// FuzzDecodeBatchRequest's and FuzzDecodeTxnRequest's job.
 			return
 		}
 		if len(rq.key) > maxKeyWire {

@@ -251,9 +251,12 @@ func (s *shard) begin() (time.Time, uint64) {
 // conflict) are expected contention, not operational errors. A versioned
 // read is observed as a get, a TTL write as a put.
 func (m *instruments) observe(k opKind, t0 time.Time, c0 uint64, err error) {
-	if m == nil {
-		return
+	if m != nil { // kept this small so the disabled path inlines to the check
+		m.record(k, t0, c0, err)
 	}
+}
+
+func (m *instruments) record(k opKind, t0 time.Time, c0 uint64, err error) {
 	m.ops[k].Inc()
 	if err != nil && !expectedOutcome(err) {
 		m.errs[k].Inc()
