@@ -616,12 +616,12 @@ type engine interface {
 // translates them to the public ones. A nil entry never matches: the
 // baselines keep everything in the EPC, where hardware protects it, and
 // have no software integrity failure to report.
-type engineErrs struct{ notFound, integrity, tooLarge, emptyKey error }
+type engineErrs struct{ notFound, integrity, tooLarge, emptyKey, noScan error }
 
 var (
-	coreErrs     = engineErrs{core.ErrNotFound, core.ErrIntegrity, core.ErrTooLarge, core.ErrEmptyKey}
-	shieldErrs   = engineErrs{shieldstore.ErrNotFound, shieldstore.ErrIntegrity, shieldstore.ErrTooLarge, shieldstore.ErrEmptyKey}
-	baselineErrs = engineErrs{baseline.ErrNotFound, nil, baseline.ErrTooLarge, baseline.ErrEmptyKey}
+	coreErrs     = engineErrs{core.ErrNotFound, core.ErrIntegrity, core.ErrTooLarge, core.ErrEmptyKey, core.ErrNoScan}
+	shieldErrs   = engineErrs{shieldstore.ErrNotFound, shieldstore.ErrIntegrity, shieldstore.ErrTooLarge, shieldstore.ErrEmptyKey, nil}
+	baselineErrs = engineErrs{baseline.ErrNotFound, nil, baseline.ErrTooLarge, baseline.ErrEmptyKey, nil}
 )
 
 // mapErr translates the engine's sentinel errors to the public ones,
@@ -638,6 +638,8 @@ func (t *engineErrs) mapErr(err error) error {
 		return ErrTooLarge
 	case errors.Is(err, t.emptyKey):
 		return ErrEmptyKey
+	case t.noScan != nil && errors.Is(err, t.noScan):
+		return ErrNoScan
 	}
 	return err
 }

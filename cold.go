@@ -205,7 +205,7 @@ func (s *shard) checkpointCold() error {
 		return fmt.Errorf("aria: checkpoint rotate: %w", err)
 	}
 	full := !d.hasSet || len(d.segNames) >= c.compactEvery
-	col := segment.NewCollector(d.liveKeys)
+	col := segment.NewCollector(s.liveKeys)
 	for k, r := range s.recs {
 		switch {
 		case r.is(rowLive) && (full || r.is(rowDirty)):

@@ -263,12 +263,9 @@ func decodeSnapValue(v []byte) (value []byte, ver uint64, exp int64, err error) 
 
 // durable is one shard's WAL + checkpoint lineage.
 type durable struct {
-	log    *wal.Log
-	sealer *seal.Sealer
-	dir    string
-	// liveKeys counts the table rows with live set: the size of the
-	// shadow key set.
-	liveKeys        int
+	log             *wal.Log
+	sealer          *seal.Sealer
+	dir             string
 	checkpointEvery int
 	sinceCkpt       int
 	// lastSnapCovered is the covered seq of the newest snapshot loaded
@@ -348,7 +345,7 @@ func (s *shard) openDurable(opts Options, dir string) error {
 			return err
 		}
 		s.stamp(key, ver, exp)
-		s.noteIn(d, key, true, false)
+		s.note(key, true, false)
 		d.recovered++
 		return nil
 	}
@@ -455,12 +452,12 @@ func (s *shard) openDurable(opts Options, dir string) error {
 			if err := s.apply(op{kind: opKindPut, key: key, value: value, exp: exp}); err != nil {
 				return fmt.Errorf("aria: replay put: %w", err)
 			}
-			s.noteIn(d, key, true, true)
+			s.note(key, true, true)
 		case walOpDelete:
 			if err := s.apply(op{kind: opKindDelete, key: key}); err != nil && !errors.Is(err, ErrNotFound) {
 				return fmt.Errorf("aria: replay delete: %w", err)
 			}
-			s.noteIn(d, key, false, true)
+			s.note(key, false, true)
 		case walOpTxn:
 			writes, derr := decodeWalTxnBody(value)
 			if derr != nil {
@@ -470,7 +467,7 @@ func (s *shard) openDurable(opts Options, dir string) error {
 				return fmt.Errorf("aria: replay txn: %w", err)
 			}
 			for i := range writes {
-				s.noteIn(d, writes[i].key, !writes[i].del, true)
+				s.note(writes[i].key, !writes[i].del, true)
 			}
 		default:
 			return fmt.Errorf("aria: unknown wal opcode %d", walOp)
@@ -501,24 +498,20 @@ func (s *shard) openDurable(opts Options, dir string) error {
 	return nil
 }
 
-// note records a committed write in key's row: live joins (or a delete
-// leaves) the shadow key set and, under the cold tier, the row turns
-// dirty — the next incremental segment's contents, a delete as a
-// tombstone — and touched.
-func (s *shard) note(key []byte, live bool) { s.noteIn(s.dur, key, live, true) }
-
-// noteIn is note for recovery, which runs before s.dur is set; a pair
-// restored from a recovery point is live but not written since it
-// (written false).
-func (s *shard) noteIn(d *durable, key []byte, live, written bool) {
+// note records a logged write in key's row: live joins (or a delete
+// leaves) the shadow key set and, under the cold tier, a written row
+// turns dirty — the next incremental segment's contents, a delete as a
+// tombstone — and touched. A pair restored from a recovery point is live
+// but not written since it.
+func (s *shard) note(key []byte, live, written bool) {
 	r := s.recs[string(key)]
 	switch {
 	case live && !r.is(rowLive):
 		r.bits |= rowLive
-		d.liveKeys++
+		s.liveKeys++
 	case !live && r.is(rowLive):
 		r.bits &^= rowLive
-		d.liveKeys--
+		s.liveKeys--
 	}
 	if s.cold != nil && written {
 		r.bits |= rowDirty | rowTouched
@@ -592,7 +585,7 @@ func (s *shard) checkpoint() error {
 	// Hash-indexed schemes cannot enumerate their contents, so the
 	// checkpointer walks the shadow key set (sorted, for deterministic
 	// snapshots) and reads each key.
-	names := make([]string, 0, d.liveKeys)
+	names := make([]string, 0, s.liveKeys)
 	for k, r := range s.recs {
 		if r.is(rowLive) {
 			names = append(names, k)

@@ -133,6 +133,7 @@ type shard struct {
 	now              func() time.Time
 	maxKey, maxValue int
 	recs             map[string]keyRec
+	liveKeys         int // rows with rowLive set: the size of the shadow key set
 	vclock           uint64
 
 	txnCommits, txnConflicts, casMismatches uint64
@@ -388,7 +389,7 @@ func (s *shard) apply(o op) error {
 	if err := s.logRecords(rec); err != nil {
 		return err
 	}
-	s.note(o.key, o.kind != opKindDelete)
+	s.note(o.key, o.kind != opKindDelete, true)
 	return nil
 }
 
@@ -528,30 +529,28 @@ func (s *shard) mwrite(del bool, n int, at func(i int) (key, value []byte)) []er
 		}
 	}
 	s.enc.BatchExit(batchHdrBytes + n*batchStatusBytes)
-	for i := 0; i < n; i++ {
-		if errs != nil && errs[i] != nil {
-			continue
-		}
-		if k, _ := at(i); del {
-			s.stamp(k, 0, 0)
-		} else {
-			s.vclock++
-			s.stamp(k, s.vclock, 0)
-		}
+	walOp := byte(walOpPut)
+	if del {
+		walOp = walOpDelete
 	}
-	if s.dur == nil {
-		return errs
+	var recs [][]byte
+	var ok []int
+	if s.dur != nil {
+		recs, ok = make([][]byte, 0, n), make([]int, 0, n)
 	}
-	recs := make([][]byte, 0, n)
-	ok := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if errs != nil && errs[i] != nil {
 			continue
 		}
 		k, v := at(i)
-		walOp := byte(walOpPut)
 		if del {
-			walOp = walOpDelete
+			s.stamp(k, 0, 0)
+		} else {
+			s.vclock++
+			s.stamp(k, s.vclock, 0)
+		}
+		if s.dur == nil {
+			continue
 		}
 		rec, err := encodeWalRecord(walOp, k, v)
 		if err != nil {
@@ -576,7 +575,7 @@ func (s *shard) mwrite(del bool, n int, at func(i int) (key, value []byte)) []er
 	}
 	for _, i := range ok {
 		k, _ := at(i)
-		s.note(k, !del)
+		s.note(k, !del, true)
 	}
 	return errs
 }
@@ -708,7 +707,7 @@ func (s *shard) logTxn(writes []txnWrite, rec []byte) error {
 		return err
 	}
 	for i := range writes {
-		s.note(writes[i].key, !writes[i].del)
+		s.note(writes[i].key, !writes[i].del, true)
 	}
 	return nil
 }
@@ -756,15 +755,12 @@ func (s *shard) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	defer s.mu.Unlock()
 	t0, c0 := s.begin()
 	err := s.promoteRange(start, end)
-	if err == nil {
+	switch {
+	case err != nil:
+	case s.core == nil:
 		err = ErrNoScan
-		if s.core != nil {
-			if err = s.core.Scan(start, end, fn); errors.Is(err, core.ErrNoScan) {
-				err = ErrNoScan
-			} else {
-				err = s.check(nil, err)
-			}
-		}
+	default:
+		err = s.check(nil, s.core.Scan(start, end, fn))
 	}
 	s.ins.observe(opKindScan, t0, c0, err)
 	return err
@@ -839,7 +835,7 @@ func (s *shard) Stats() Stats {
 	if s.cold != nil {
 		// The engine only counts resident keys; the shadow set is the
 		// live keyspace once demotion is in play.
-		st.Keys = s.dur.liveKeys
+		st.Keys = s.liveKeys
 		s.cold.fill(&st)
 	}
 	return st
