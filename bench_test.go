@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"github.com/ariakv/aria"
 	"github.com/ariakv/aria/internal/bench"
@@ -196,4 +197,80 @@ func BenchmarkLoadPhase(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpoint measures what a checkpoint run costs and what it
+// costs everyone else: ns/op is one Checkpoint of a 2-shard durable store
+// at 25 k keys per shard (the shape of wire_a_ckpt_open), and stall-ns is
+// the longest single Get a paced foreground reader saw while the runs
+// were going — the number a stop-the-world checkpoint puts at the run's
+// own length.
+func BenchmarkCheckpoint(b *testing.B) {
+	const keys = 50000
+	st, err := aria.Open(aria.Options{
+		Scheme:       aria.AriaHash,
+		EPCBytes:     benchEPC,
+		ExpectedKeys: keys,
+		Shards:       2,
+		DataDir:      b.TempDir(),
+		Fsync:        aria.FsyncNever,
+		MeasureOff:   true,
+		Seed:         9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ck := st.(aria.Durable)
+	defer ck.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("ckpt-%011d", i)) }
+	value := make([]byte, 128)
+	batch := make([]aria.KV, 0, 256)
+	for i := 0; i < keys; i++ {
+		if batch = append(batch, aria.KV{Key: key(i), Value: value}); len(batch) == cap(batch) || i == keys-1 {
+			for _, err := range st.MPut(batch) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			batch = batch[:0]
+		}
+	}
+	if err := ck.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	longest := make(chan time.Duration)
+	go func() {
+		var worst time.Duration
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				longest <- worst
+				return
+			default:
+			}
+			t0 := time.Now()
+			if _, err := st.Get(key(i * 7919 % keys)); err != nil {
+				b.Error(err)
+			}
+			worst = max(worst, time.Since(t0))
+			time.Sleep(250 * time.Microsecond)
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A write on every shard, so no run takes the nothing-logged exit.
+		for j := 0; j < 8; j++ {
+			if err := st.Put(key((i*8+j)%keys), value); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ck.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	b.ReportMetric(float64(<-longest), "stall-ns")
 }

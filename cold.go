@@ -105,20 +105,29 @@ func (s *shard) coldValue(rec *coldRec) ([]byte, error) {
 // promote is the cold-residency stage: it marks key touched and, if the
 // key was demoted, puts its value back into the engine. Every
 // key-touching operation runs it first, so the later stages never see a
-// demoted key. countMiss is set on read paths so ColdMisses means "read
-// fell past the cold tier", not "fresh key inserted".
-func (s *shard) promote(key []byte, countMiss bool) error {
-	if s.cold == nil { // kept this small so the disabled path inlines to the check
+// demoted key — which also makes it the one place every logged write
+// passes before it changes a key, where a snapshot run in flight gets
+// its pre-image (durable.go). read is set on read paths: they need no
+// pre-image, and ColdMisses means "read fell past the cold tier", not
+// "fresh key inserted".
+func (s *shard) promote(key []byte, read bool) error {
+	if s.cold == nil && s.run == nil { // kept this small so the disabled path inlines to the checks
 		return nil
 	}
-	return s.promoteCold(key, countMiss)
+	return s.promoteSlow(key, read)
 }
 
-func (s *shard) promoteCold(key []byte, countMiss bool) error {
+func (s *shard) promoteSlow(key []byte, read bool) error {
+	if s.cold == nil { // a snapshot run is capturing: runs and the cold tier exclude each other
+		if !read {
+			s.preimage(key)
+		}
+		return nil
+	}
 	r := s.recs[string(key)]
 	rec := r.cold()
 	if rec == nil {
-		if countMiss && !r.is(rowLive) {
+		if read && !r.is(rowLive) {
 			s.cold.misses++
 		}
 		// Only a live key can be demoted, so only a live key needs the mark.

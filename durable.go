@@ -21,7 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
+	"sync"
+	"time"
 
 	"github.com/ariakv/aria/internal/seal"
 	"github.com/ariakv/aria/wal"
@@ -31,13 +34,19 @@ import (
 // Options.DataDir there is no lineage: Checkpoint returns ErrNotDurable
 // and Close only stops the store's background goroutine, if it has one.
 type Durable interface {
-	// Checkpoint writes an atomic sealed snapshot of the keyspace
-	// (write-temp + rename), then truncates the WAL segments the
-	// snapshot made obsolete. Safe to call at any time; the sharded
-	// store checkpoints every shard in parallel.
+	// Checkpoint writes an atomic sealed snapshot of the keyspace as of
+	// one instant (write-temp + rename), then truncates the WAL segments
+	// the snapshot made obsolete. Safe to call at any time, and it does
+	// not stop the store: reads and writes proceed while it runs, the
+	// snapshot still holds exactly the state at the instant it began,
+	// and the call returns once the snapshot is durable. (Under
+	// ColdCompress the checkpoint is a segment write and does hold its
+	// shard for the length of it.) The sharded store checkpoints every
+	// shard; concurrent calls on one shard run one after the other.
 	Checkpoint() error
-	// Close stops the background checkpointer, flushes the WAL, and
-	// closes its files. The store must not be used after Close.
+	// Close stops the background checkpointer, waits for a checkpoint
+	// in flight, flushes the WAL, and closes its files. The store must
+	// not be used after Close.
 	Close() error
 }
 
@@ -291,6 +300,9 @@ type durable struct {
 
 	// ckptC arms the background checkpointer; one pending signal is enough.
 	ckptC chan struct{}
+	// runC is held for the length of a checkpoint run (and by Close while
+	// it closes the log): one run per shard, manual and background alike.
+	runC chan struct{}
 	// commitHook, when set, runs after every group of records commits to
 	// the WAL (still under the shard lock); the replication publisher
 	// uses it to wake subscribers without polling.
@@ -331,6 +343,7 @@ func (s *shard) openDurable(opts Options, dir string) error {
 		dir:             dir,
 		checkpointEvery: opts.CheckpointEvery,
 		ckptC:           make(chan struct{}, 1),
+		runC:            make(chan struct{}, 1),
 	}
 	if opts.ColdCompress {
 		s.cold = &coldTier{compactEvery: opts.CompactEvery}
@@ -558,82 +571,253 @@ func (s *shard) logRecords(payloads ...[]byte) error {
 	return nil
 }
 
-// checkpoint rotates the WAL so the snapshot boundary aligns with a
-// segment boundary, seals the keyspace into an atomic snapshot, and
+// ckptChunk is how many live keys a snapshot run reads per hold of the
+// shard lock: ~0.25 ms of engine reads, the longest a request waits for
+// the walker.
+const ckptChunk = 128
+
+// ckptSlots bounds the snapshot runs in flight across the whole process
+// to one fewer than the Ps, so one P always has no checkpointer on it:
+// a run that merely yields between holds goes to the global run queue,
+// which the scheduler drains before it polls the network, and with a
+// run on every P socket readiness waits for sysmon (DESIGN.md §10).
+var ckptSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
+
+// errCkptClosed is Checkpoint's answer on a closed store; the background
+// checkpointer drops it.
+var errCkptClosed = errors.New("aria: checkpoint on closed store")
+
+// ckptRun is one checkpoint in flight. A snapshot run publishes it as
+// shard.run from begin until its walker has read the last key, which is
+// what turns the write path's pre-image hook on; everything in it is
+// guarded by the shard lock.
+type ckptRun struct {
+	// vclock is the version clock at the run's cut: a live row at or
+	// below it has not been written since.
+	vclock uint64
+	// names is the live keys at the cut, sorted; nil until the walker's
+	// first hold publishes the sorted slice. names[:next] have been read.
+	names []string
+	next  int
+	// stash holds the pre-images writers captured ahead of the walker,
+	// as encoded snapshot values; nil = the key has nothing to persist.
+	stash map[string][]byte
+	err   error // a pre-image read that failed the way a walker read would
+
+	holds int           // times the run has taken the shard lock (the lock-hold pin counts reads by it)
+	stall time.Duration // longest single hold
+}
+
+// hold runs fn under the shard lock, timing the hold.
+func (run *ckptRun) hold(mu *sync.Mutex, fn func()) {
+	mu.Lock()
+	t0 := time.Now()
+	run.holds++
+	fn()
+	run.stall = max(run.stall, time.Since(t0))
+	mu.Unlock()
+}
+
+// unreached reports whether the walker has yet to read live key k.
+func (run *ckptRun) unreached(k string) bool {
+	return run.names == nil || (run.next < len(run.names) && k >= run.names[run.next])
+}
+
+// checkpoint takes one checkpoint, manual or background: a segment
+// checkpoint under the cold tier (cold.go: incremental compressed
+// segments and a set manifest, written under one hold of the shard
+// lock), otherwise a sealed snapshot captured in short holds (snapshot).
+// One runs per shard at a time, and Close waits for it.
+func (s *shard) checkpoint() error {
+	d := s.dur
+	d.runC <- struct{}{}
+	defer func() { <-d.runC }()
+	if s.cold == nil {
+		ckptSlots <- struct{}{}
+		defer func() { <-ckptSlots }()
+	}
+	t0 := time.Now()
+	run := &ckptRun{}
+	var err error
+	compacted := false
+	if s.cold == nil {
+		err = s.snapshot(run)
+	} else {
+		run.hold(&s.mu, func() {
+			if s.closed {
+				err = errCkptClosed
+				return
+			}
+			before := s.cold.compactions
+			err = s.checkpointCold()
+			compacted = s.cold.compactions > before
+		})
+	}
+	if err != errCkptClosed {
+		s.ins.observeCheckpoint(time.Since(t0), run.stall, compacted)
+	}
+	return err
+}
+
+// snapshot writes an atomic sealed snapshot of the state as of one WAL
+// sequence number without stopping the shard (DESIGN.md §10), then
 // prunes what the *previous* snapshot generation no longer needs:
 // snapshots older than the previous one and WAL segments at or below
 // its covered seq. Keeping two generations means a tampered newest
 // snapshot still has a working fallback (older snapshot + retained WAL)
-// under Quarantine, instead of silently wiping the store. Callers hold
-// the shard lock — for the whole write, today.
-func (s *shard) checkpoint() error {
-	if s.cold != nil {
-		// The cold tier replaces raw snapshots with incremental
-		// compressed segments and a set manifest (cold.go).
-		return s.checkpointCold()
-	}
+// under Quarantine, instead of silently wiping the store.
+//
+// Begin, one hold: rotate the WAL so the snapshot boundary aligns with a
+// segment boundary, fix covered and the version clock, collect the live
+// row names, publish the run. Capture, one hold per ckptChunk keys,
+// yielding in between: read the keys in ascending order, taking a
+// writer's pre-image (preimage) where one got there first — so the pairs
+// are exactly what a stop-the-world walk at covered would have read, in
+// the same order at the same charges. Finish: seal and write with the
+// lock released, prune, and one last hold to charge the sealing, move the
+// lineage forward and truncate the WAL.
+func (s *shard) snapshot(run *ckptRun) error {
 	d := s.dur
-	covered := d.log.NextSeq() - 1
-	if d.hasSnap && covered == d.lastSnapCovered {
-		// No record was logged since the last snapshot: re-sealing an
-		// identical snapshot would only churn the files.
-		return nil
-	}
-	if err := d.log.Rotate(); err != nil {
-		return fmt.Errorf("aria: checkpoint rotate: %w", err)
-	}
-	// Hash-indexed schemes cannot enumerate their contents, so the
-	// checkpointer walks the shadow key set (sorted, for deterministic
-	// snapshots) and reads each key.
-	names := make([]string, 0, s.liveKeys)
-	for k, r := range s.recs {
-		if r.is(rowLive) {
-			names = append(names, k)
+	var (
+		err     error
+		covered uint64 // the cut: the snapshot is the state as of this WAL seq
+		names   []string
+		keep    uint64 // the previous generation's covered seq: the prune floor
+		noop    bool
+	)
+	run.hold(&s.mu, func() {
+		if s.closed {
+			err = errCkptClosed
+			return
 		}
+		covered = d.log.NextSeq() - 1
+		if noop = d.hasSnap && covered == d.lastSnapCovered; noop {
+			// No record was logged since the last snapshot: re-sealing an
+			// identical snapshot would only churn the files.
+			return
+		}
+		if err = d.log.Rotate(); err != nil {
+			err = fmt.Errorf("aria: checkpoint rotate: %w", err)
+			return
+		}
+		// On the first checkpoint there is no previous snapshot: the floor
+		// is 0, so the full WAL is retained and remains a complete fallback
+		// on its own.
+		if d.hasSnap {
+			keep = d.lastSnapCovered
+		}
+		run.vclock = s.vclock
+		// Hash-indexed schemes cannot enumerate their contents, so the
+		// walker reads the shadow key set (sorted, for deterministic
+		// snapshots).
+		names = make([]string, 0, s.liveKeys)
+		for k, r := range s.recs {
+			if r.is(rowLive) {
+				names = append(names, k)
+			}
+		}
+		run.stash = make(map[string][]byte)
+		s.run = run
+	})
+	if err != nil || noop {
+		return err
 	}
 	sort.Strings(names)
 	pairs := make([]wal.Pair, 0, len(names)+1)
 	// The synthetic version-clock pair leads (empty key — impossible
 	// for user keys), so recovery restores the clock before any record
 	// above the snapshot replays.
-	var clock [8]byte
-	binary.LittleEndian.PutUint64(clock[:], s.vclock)
-	pairs = append(pairs, wal.Pair{Value: clock[:]})
-	for _, k := range names {
-		v, r, err := s.get([]byte(k))
-		if skip, err := s.unpersistable(k, err); err != nil {
-			return err
-		} else if !skip {
-			pairs = append(pairs, wal.Pair{Key: []byte(k), Value: encodeSnapValue(v, r.ver(), r.exp())})
-		}
+	pairs = append(pairs, wal.Pair{Value: binary.LittleEndian.AppendUint64(nil, run.vclock)})
+	for walking := true; walking; {
+		run.hold(&s.mu, func() {
+			run.names = names
+			for end := min(run.next+ckptChunk, len(names)); run.next < end && err == nil; run.next++ {
+				k := names[run.next]
+				key := []byte(k)
+				v, stashed := run.stash[k]
+				if stashed {
+					delete(run.stash, k)
+				} else {
+					v, err = s.snapValue(key)
+				}
+				if v != nil {
+					pairs = append(pairs, wal.Pair{Key: key, Value: v})
+				}
+			}
+			if err == nil {
+				err = run.err
+			}
+			if walking = err == nil && run.next < len(names); !walking {
+				s.run = nil
+			}
+		})
+		runtime.Gosched()
+	}
+	if err != nil {
+		return err
 	}
 	bytes, err := wal.WriteSnapshot(d.dir, d.sealer, covered, pairs)
 	if err != nil {
 		return fmt.Errorf("aria: write snapshot: %w", err)
 	}
-	for _, p := range pairs {
-		s.enc.ChargeCTR(len(p.Key) + len(p.Value) + 2)
-		s.enc.ChargeMAC(len(p.Key) + len(p.Value) + 2 + seal.Overhead)
-	}
-	s.enc.SealOut(int(bytes))
-	s.enc.Ocall() // the snapshot fsync
-	// Prune up to the previous generation only. On the first checkpoint
-	// there is no previous snapshot: the floor is 0, so the full WAL is
-	// retained and remains a complete fallback on its own.
-	keep := uint64(0)
-	if d.hasSnap {
-		keep = d.lastSnapCovered
-	}
+	// Pruning also sweeps leftover temp files, so it must stay inside the
+	// run: the next run's temp file is one of them.
 	if err := wal.PruneSnapshots(d.dir, keep); err != nil {
 		return fmt.Errorf("aria: prune snapshots: %w", err)
 	}
-	if err := d.log.TruncateThrough(keep); err != nil {
-		return fmt.Errorf("aria: truncate wal: %w", err)
+	run.hold(&s.mu, func() {
+		for _, p := range pairs {
+			s.enc.ChargeCTR(len(p.Key) + len(p.Value) + 2)
+			s.enc.ChargeMAC(len(p.Key) + len(p.Value) + 2 + seal.Overhead)
+		}
+		s.enc.SealOut(int(bytes))
+		s.enc.Ocall() // the snapshot fsync
+		if err = d.log.TruncateThrough(keep); err != nil {
+			err = fmt.Errorf("aria: truncate wal: %w", err)
+			return
+		}
+		d.lastSnapCovered, d.hasSnap = covered, true
+		d.checkpoints++
+		d.sinceCkpt = 0
+	})
+	return err
+}
+
+// snapValue reads live key k for a snapshot and encodes its pair value;
+// nil means the key has nothing to persist.
+func (s *shard) snapValue(key []byte) ([]byte, error) {
+	v, r, err := s.get(key)
+	if err != nil {
+		_, err = s.unpersistable(string(key), err) // skip it, or fail the run
+		return nil, err
 	}
-	d.lastSnapCovered, d.hasSnap = covered, true
-	d.checkpoints++
-	d.sinceCkpt = 0
-	return nil
+	return encodeSnapValue(v, r.ver(), r.exp()), nil
+}
+
+// preimage is the write path's half of a snapshot run: before a logged
+// write changes key, capture the value the run must persist for it. That
+// is due only for a key the walker has not read yet that was live at
+// covered and has not been written since — its version is still at or
+// below the run's clock; once it is written, or stashed, later writes
+// skip it. The stash lookup comes first, so a write that stashed and
+// then failed does not re-capture. The read is charged to the write that
+// triggers it, as copy-on-write in a real enclave would be. Reaps and
+// sweeps need none: they delete below the WAL, and a key they reclaim
+// has a deadline that has passed at every later recovery.
+func (s *shard) preimage(key []byte) {
+	run := s.run
+	if _, stashed := run.stash[string(key)]; stashed || !run.unreached(string(key)) {
+		return
+	}
+	if r := s.recs[string(key)]; !r.is(rowLive) || r.ver() > run.vclock {
+		return
+	}
+	v, err := s.snapValue(key)
+	if err != nil && run.err == nil {
+		run.err = err
+	}
+	run.stash[string(key)] = v
+	s.ins.observePreimage()
 }
 
 // unpersistable sorts the outcome of a checkpoint's read of live key k:

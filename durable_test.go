@@ -381,6 +381,52 @@ func TestDurableBackgroundCheckpointer(t *testing.T) {
 	}
 }
 
+// TestDurableBackgroundCheckpointFailureSurfaces breaks the snapshot
+// directory under a running store: the background run must fail cleanly —
+// counted, timed, no run record left, the lineage where it was — keep
+// serving, and hand the error to Close.
+func TestDurableBackgroundCheckpointFailureSurfaces(t *testing.T) {
+	opts := durableOpts(t.TempDir())
+	opts.CheckpointEvery = 10
+	opts.Metrics = obs.NewRegistry()
+	st := mustOpen(t, opts)
+	s := st.(*shard)
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.dur.dir = filepath.Join(blocker, "not-a-dir") // snapshots only: the log keeps its own path
+	s.mu.Unlock()
+	for i := 0; i < 10; i++ {
+		if err := st.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.ins.bgCkptErrs.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed background checkpoint was never counted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if v, err := st.Get([]byte("key-00003")); err != nil || string(v) != "v" {
+		t.Fatalf("store stopped serving after a failed checkpoint: %q, %v", v, err)
+	}
+	if stats := st.Stats(); stats.Checkpoints != 0 {
+		t.Fatalf("Checkpoints = %d after a failed run", stats.Checkpoints)
+	}
+	s.mu.Lock()
+	run, hasSnap := s.run, s.dur.hasSnap
+	s.mu.Unlock()
+	if run != nil || hasSnap {
+		t.Fatalf("failed run left state behind: run %v, hasSnap %v", run, hasSnap)
+	}
+	if err := st.(Durable).Close(); err == nil || !strings.Contains(err.Error(), "write snapshot") {
+		t.Fatalf("Close = %v, want the background checkpoint's failure", err)
+	}
+}
+
 func TestDurableTamperedWALFailStop(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir)
@@ -662,6 +708,7 @@ func TestDurableMetricsFamilies(t *testing.T) {
 	for _, family := range []string{
 		metricWALAppends, metricWALRecords, metricWALBytes,
 		metricWALFsyncs, metricCheckpoints, metricCheckpointWallNs,
+		metricCheckpointStallNs, metricCkptPreimages, metricBackgroundErrors,
 		metricRecoveredRecords,
 	} {
 		if !strings.Contains(text, family) {

@@ -121,3 +121,30 @@ func TestOpenRejectsShortRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamAppendSealMatchesSeal pins the append form to Seal's bytes
+// and chain, record after record into one buffer, and its allocation
+// budget: the CMAC's block state is all that is left.
+func TestStreamAppendSealMatchesSeal(t *testing.T) {
+	s := New(42)
+	st := s.NewStream()
+	payloads := [][]byte{[]byte("alpha"), nil, bytes.Repeat([]byte{0xAB}, 300), []byte("sixteen byte msg")}
+	var buf []byte
+	want, got := s.ChainInit("test", 7), s.ChainInit("test", 7)
+	for i, p := range payloads {
+		var rec []byte
+		rec, want = s.Seal(uint64(7+i), 3, want, p)
+		off := len(buf)
+		buf, got = st.AppendSeal(buf, uint64(7+i), 3, got, p)
+		if !bytes.Equal(buf[off:], rec) || got != want {
+			t.Fatalf("record %d: AppendSeal diverges from Seal", i)
+		}
+	}
+	buf = buf[:0]
+	chain := s.ChainInit("test", 0)
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = st.AppendSeal(buf[:0], 1, 3, chain, payloads[2])
+	}); n > 1 {
+		t.Errorf("AppendSeal allocates %v times per record, want <= 1", n)
+	}
+}

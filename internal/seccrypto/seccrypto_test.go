@@ -178,6 +178,37 @@ func TestCTRInPlace(t *testing.T) {
 	}
 }
 
+// TestCTRStreamMatchesCTRCrypt pins the reusable stream to CTRCrypt's
+// bytes, message after message through one stream, including a counter
+// whose increment carries across every byte.
+func TestCTRStreamMatchesCTRCrypt(t *testing.T) {
+	c := newRFC(t)
+	s := c.NewCTRStream()
+	check := func(msg []byte, value, salt uint64) bool {
+		ctr := CounterBlock(value, salt)
+		want := make([]byte, len(msg))
+		c.CTRCrypt(&ctr, want, msg)
+		got := append([]byte(nil), msg...)
+		s.Crypt(&ctr, got, got)
+		return bytes.Equal(got, want)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	long := bytes.Repeat([]byte("carry"), 40)
+	for _, salt := range []uint64{^uint64(0), ^uint64(0) - 3, 0xff, 0xffff_ffff} {
+		if !check(long, ^uint64(0), salt) {
+			t.Errorf("salt %#x: stream diverges from CTRCrypt once the counter carries", salt)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ctr := CounterBlock(1, 2)
+		s.Crypt(&ctr, long, long)
+	}); n != 0 {
+		t.Errorf("CTRStream.Crypt allocates %v times per call, want 0", n)
+	}
+}
+
 func TestNewRejectsBadKeys(t *testing.T) {
 	if _, err := New([]byte("short"), rfcKey); err == nil {
 		t.Error("New accepted a short encryption key")

@@ -59,6 +59,9 @@ const (
 	metricWALFsyncs         = "aria_wal_fsyncs_total"
 	metricCheckpoints       = "aria_checkpoints_total"
 	metricCheckpointWallNs  = "aria_checkpoint_wall_ns"
+	metricCheckpointStallNs = "aria_checkpoint_stall_ns"
+	metricCkptPreimages     = "aria_checkpoint_preimages_total"
+	metricBackgroundErrors  = "aria_background_errors_total"
 	metricRecoveredRecords  = "aria_recovered_records"
 	metricTxnCommits        = "aria_txn_commits_total"
 	metricTxnConflicts      = "aria_txn_conflicts_total"
@@ -125,8 +128,11 @@ type instruments struct {
 	bkeys      [batchKindCount]*obs.Counter
 	bkeyErrs   [batchKindCount]*obs.Counter
 
-	ckptWall    *obs.Histogram
-	compactWall *obs.Histogram
+	ckptWall      *obs.Histogram
+	ckptStall     *obs.Histogram
+	ckptPreimages *obs.Counter
+	compactWall   *obs.Histogram
+	bgCkptErrs    *obs.Counter
 }
 
 // newInstruments registers one shard's instruments, labelled {op,
@@ -167,7 +173,13 @@ func newInstruments(reg *obs.Registry, enc *sgx.Enclave, shard string, stats fun
 	// on /metrics from the first scrape and the docs-parity test sees it
 	// even on stores opened without DataDir.
 	m.ckptWall = reg.Histogram(metricCheckpointWallNs,
-		"Checkpoint (sealed snapshot + WAL truncation) duration in wall-clock nanoseconds.", sl)
+		"Checkpoint run (capture + sealed write + WAL truncation) duration in wall-clock nanoseconds, manual and background.", sl)
+	m.ckptStall = reg.Histogram(metricCheckpointStallNs,
+		"Longest single hold of the shard lock by each checkpoint run, in wall-clock nanoseconds: what a request can wait behind it.", sl)
+	m.ckptPreimages = reg.Counter(metricCkptPreimages,
+		"Values captured by writes ahead of a snapshot run's walker (copy-on-write pre-images).", sl)
+	m.bgCkptErrs = reg.Counter(metricBackgroundErrors,
+		"Background task runs that failed, by task and shard.", obs.Labels{"task": "checkpoint", "shard": shard})
 	m.compactWall = reg.Histogram(metricSegCompactWallNs,
 		"Major segment compaction duration in wall-clock nanoseconds (checkpoints that rewrote the full segment set).", sl)
 	reg.RegisterCollector(func(emit obs.Emit) {
@@ -309,15 +321,31 @@ func (m *instruments) observeTxn(n int, t0 time.Time, c0 uint64, err error) {
 	m.observeBatch(batchKindTxn, n, t0, c0, errs)
 }
 
-// observeCheckpoint times one explicit checkpoint; one that rewrote the
-// full segment set (cold tier only) also lands in the compaction
-// histogram.
-func (m *instruments) observeCheckpoint(ns uint64, compacted bool) {
+// observeCheckpoint records one checkpoint run, manual or background:
+// its wall time and the longest single hold of the shard lock inside it.
+// One that rewrote the full segment set (cold tier only) also lands in
+// the compaction histogram.
+func (m *instruments) observeCheckpoint(wall, stall time.Duration, compacted bool) {
 	if m == nil {
 		return
 	}
-	m.ckptWall.Record(ns)
+	m.ckptWall.Record(uint64(wall))
+	m.ckptStall.Record(uint64(stall))
 	if compacted {
-		m.compactWall.Record(ns)
+		m.compactWall.Record(uint64(wall))
+	}
+}
+
+// observePreimage counts one value a write captured for a snapshot run.
+func (m *instruments) observePreimage() {
+	if m != nil {
+		m.ckptPreimages.Inc()
+	}
+}
+
+// observeCheckpointFailed counts one failed background checkpoint.
+func (m *instruments) observeCheckpointFailed() {
+	if m != nil {
+		m.bgCkptErrs.Inc()
 	}
 }

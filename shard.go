@@ -142,6 +142,7 @@ type shard struct {
 	dur  *durable     // nil without Options.DataDir
 	cold *coldTier    // nil without Options.ColdCompress
 	ins  *instruments // nil without Options.Metrics
+	run  *ckptRun     // nil unless a snapshot run is capturing (durable.go)
 
 	stopC  chan struct{} // non-nil while the background goroutine runs
 	wg     sync.WaitGroup
@@ -913,16 +914,15 @@ func (s *shard) background(sweepEvery time.Duration) {
 		case <-s.stopC:
 			return
 		case <-ckptC:
-			s.mu.Lock()
-			if !s.closed {
-				if err := s.checkpoint(); err != nil {
-					// Remembered, surfaced by Close; the next checkpoint
-					// retries, and the WAL still holds every record, so
-					// no durability is lost.
-					s.dur.ckptErr = err
-				}
+			if err := s.checkpoint(); err != nil && err != errCkptClosed {
+				// Counted, remembered for Close; the next checkpoint
+				// retries, and the WAL still holds every record, so no
+				// durability is lost.
+				s.ins.observeCheckpointFailed()
+				s.mu.Lock()
+				s.dur.ckptErr = err
+				s.mu.Unlock()
 			}
-			s.mu.Unlock()
 		case <-sweepC:
 			s.sweepOnce()
 		}
@@ -956,28 +956,17 @@ func (s *shard) sweepOnce() {
 
 // Checkpoint implements Durable.
 func (s *shard) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.dur == nil:
+	if s.dur == nil {
 		return ErrNotDurable
-	case s.closed:
-		return errors.New("aria: checkpoint on closed store")
 	}
-	var compactions uint64
-	if s.cold != nil {
-		compactions = s.cold.compactions
-	}
-	t0 := time.Now()
-	err := s.checkpoint()
-	s.ins.observeCheckpoint(uint64(time.Since(t0)), s.cold != nil && s.cold.compactions > compactions)
-	return err
+	return s.checkpoint()
 }
 
-// Close implements Durable: stop the background goroutine, then flush
-// and close the WAL if there is one. It returns the last background
-// checkpoint failure, if any, so operators see it even without metrics.
-// Safe to call more than once.
+// Close implements Durable: stop the background goroutine, wait for a
+// checkpoint run in flight to finish, then flush and close the WAL if
+// there is one. It returns the last background checkpoint failure, if
+// any, so operators see it even without metrics. Safe to call more than
+// once.
 func (s *shard) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -994,6 +983,10 @@ func (s *shard) Close() error {
 	if s.dur == nil {
 		return nil
 	}
+	// A run that began before closed was set truncates the WAL in its
+	// last hold; one that begins after sees closed and touches nothing.
+	s.dur.runC <- struct{}{}
+	defer func() { <-s.dur.runC }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.dur.log.Sync()

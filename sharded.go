@@ -463,10 +463,11 @@ func (s *shardedStore) each(fn func(sh *shard) error) error {
 	return errors.Join(errs...)
 }
 
-// Checkpoint snapshots every shard in parallel — N independent
-// WAL+snapshot lineages checkpointing at once — and joins the per-shard
-// errors. Opened without DataDir the shards are not durable and every
-// one reports ErrNotDurable.
+// Checkpoint checkpoints every shard — N independent lineages — and
+// joins the per-shard errors. The fan-out is parallel; snapshot runs then
+// take the process-wide slots (durable.go), segment checkpoints do not.
+// Opened without DataDir the shards are not durable and every one
+// reports ErrNotDurable.
 func (s *shardedStore) Checkpoint() error { return s.each((*shard).Checkpoint) }
 
 // Close flushes and closes every durable shard's log. Non-durable

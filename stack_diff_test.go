@@ -17,7 +17,9 @@ package aria
 // txn/scan/checkpoint/recovery paths no BENCH_*.json table covers.
 // ColdCompress arms pin the outcome fingerprint only: their segment
 // checkpoints read keys in Go map order, so their cycle counts are not
-// repeatable run to run on any commit.
+// repeatable run to run on any commit. So do the bgckpt arms, which
+// repeat the DataDir arms with a second goroutine checkpointing the whole
+// time: a snapshot run concurrent with the ops must change no outcome.
 
 import (
 	"bytes"
@@ -30,6 +32,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,12 +52,21 @@ type diffArm struct {
 	mode    string // "mem", "wal" (DataDir) or "cold" (DataDir + ColdCompress)
 	shards  int
 	metrics bool
+	// bgCkpt runs the same op sequence with a second goroutine calling
+	// Checkpoint back to back: every outcome must be what the quiescent
+	// arm of the same name records, so it is held to that arm's outcome
+	// fingerprint and to no cost fingerprint (the runs land where the
+	// scheduler puts them).
+	bgCkpt bool
 }
 
 func (a diffArm) name() string {
 	m := "nometrics"
 	if a.metrics {
 		m = "metrics"
+	}
+	if a.bgCkpt {
+		m += "/bgckpt"
 	}
 	return fmt.Sprintf("%s/%s/shards%d/%s", a.scheme, a.mode, a.shards, m)
 }
@@ -74,6 +87,10 @@ type diffRun struct {
 	st   Store
 	rng  *rand.Rand
 	now  int64 // the injected clock, unix nanos
+	// clock is now as the store reads it, and cur is st as the
+	// checkpointing goroutine of a bgCkpt arm reads it.
+	clock atomic.Int64
+	cur   atomic.Pointer[Store]
 
 	oracle map[string]*diffEnt
 	// ghost holds keys dropped for expiry and not written since. A range
@@ -120,6 +137,7 @@ func (r *diffRun) open() {
 		r.t.Fatalf("open: %v", err)
 	}
 	r.st = st
+	r.cur.Store(&st)
 }
 
 func (r *diffRun) close() error {
@@ -309,6 +327,7 @@ func (r *diffRun) step() {
 		r.note("putttl %s ttl=%d", k, ttl)
 	case p < 61:
 		r.now += int64(1+r.rng.Intn(15)) * diffTick
+		r.clock.Store(r.now)
 		r.note("advance -> %d", r.now)
 	case p < 67:
 		ks := r.keys(1 + r.rng.Intn(6))
@@ -541,11 +560,20 @@ func TestStackDifferential(t *testing.T) {
 		for _, mode := range []string{"mem", "wal", "cold"} {
 			for _, shards := range []int{1, 4} {
 				for _, metrics := range []bool{false, true} {
-					arm := diffArm{scheme, mode, shards, metrics}
+					arm := diffArm{scheme: scheme, mode: mode, shards: shards, metrics: metrics}
 					t.Run(arm.name(), func(t *testing.T) {
 						t.Parallel()
 						runStackDiff(t, arm)
 					})
+					// One hash-indexed sharded arm and one ordered unsharded arm:
+					// each costs a full run under the race detector.
+					if mode == "wal" && metrics && (scheme == AriaHash && shards > 1 || scheme == AriaBPTree && shards == 1) {
+						arm.bgCkpt = true
+						t.Run(arm.name(), func(t *testing.T) {
+							t.Parallel()
+							runStackDiff(t, arm)
+						})
+					}
 				}
 			}
 		}
@@ -572,14 +600,39 @@ func runStackDiff(t *testing.T, arm diffArm) {
 		Shards:               arm.shards,
 		Seed:                 77,
 		CompactEvery:         3,
-		Now:                  func() time.Time { return time.Unix(0, r.now) },
+		Now:                  func() time.Time { return time.Unix(0, r.clock.Load()) },
 	}
 	if arm.mode != "mem" {
 		r.opts.DataDir = t.TempDir()
 		r.opts.ColdCompress = arm.mode == "cold"
 	}
+	r.clock.Store(r.now)
 	r.open()
 	defer func() { _ = r.close() }()
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	defer func() { // before the close above, on every path
+		close(stop)
+		bg.Wait()
+	}()
+	if arm.bgCkpt {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The store it loaded may be the one a reopen just closed.
+				if err := (*r.cur.Load()).(Durable).Checkpoint(); err != nil && !strings.Contains(err.Error(), "closed store") {
+					t.Errorf("background Checkpoint: %v", err)
+					return
+				}
+			}
+		}()
+	}
 	for i := 0; i < diffOps; i++ {
 		r.step()
 	}
@@ -587,10 +640,14 @@ func runStackDiff(t *testing.T, arm diffArm) {
 	r.expect("final VerifyIntegrity", r.st.VerifyIntegrity(), "ok")
 
 	got := [2]uint64{r.out.Sum64(), r.cost.Sum64()}
-	if arm.mode == "cold" {
-		got[1] = 0 // segment checkpoints read in map order: cycles not repeatable
+	if arm.mode == "cold" || arm.bgCkpt {
+		got[1] = 0 // segment checkpoints read in map order, concurrent runs land anywhere: cycles not repeatable
 	}
-	if want, ok := stackDiffGolden[arm.name()]; !ok || got != want {
+	want, ok := stackDiffGolden[strings.TrimSuffix(arm.name(), "/bgckpt")]
+	if arm.bgCkpt {
+		want[1] = 0
+	}
+	if !ok || got != want {
 		path := filepath.Join(os.TempDir(), "aria-stackdiff-"+strings.ReplaceAll(arm.name(), "/", "_")+".log")
 		_ = os.WriteFile(path, []byte(strings.Join(r.log, "\n")+"\n"), 0o644)
 		t.Errorf("fingerprint mismatch (golden %#x, recorded=%v); per-op log in %s — diff it against the same file from the parent commit. Got:\n\t%q: {%#x, %#x},",

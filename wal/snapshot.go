@@ -130,22 +130,34 @@ func WriteSnapshot(dir string, s *seal.Sealer, coveredSeq uint64, pairs []Pair) 
 		return 0, fmt.Errorf("wal: create snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after the rename succeeds
-	chain := s.ChainInit(snapChainLabel, coveredSeq)
-	seq := uint64(0)
-	var written int64
+	// Records are sealed straight into one buffer that is written out
+	// when the next record would not fit: a write(2) per 64 KiB, not two
+	// per pair, and nothing allocated per pair beyond the CMAC's state.
+	const bufBytes = 64 << 10
+	var (
+		st      = s.NewStream()
+		chain   = s.ChainInit(snapChainLabel, coveredSeq)
+		seq     = uint64(0)
+		written int64
+		buf     = make([]byte, 0, bufBytes)
+		body    []byte
+	)
+	flush := func() error {
+		n, err := f.Write(buf)
+		written += int64(n)
+		buf = buf[:0]
+		return err
+	}
 	emit := func(payload []byte) error {
-		rec, next := s.Seal(seq, snapSalt(coveredSeq), chain, payload)
-		var hdr [headerBytes]byte
-		binary.LittleEndian.PutUint32(hdr[:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[4:8], ^uint32(len(rec)))
-		if _, err := f.Write(hdr[:]); err != nil {
-			return err
+		n := seal.Overhead + len(payload)
+		if len(buf) > 0 && len(buf)+headerBytes+n > cap(buf) {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
-		if _, err := f.Write(rec); err != nil {
-			return err
-		}
-		written += int64(headerBytes + len(rec))
-		chain = next
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		buf = binary.LittleEndian.AppendUint32(buf, ^uint32(n))
+		buf, chain = st.AppendSeal(buf, seq, snapSalt(coveredSeq), chain, payload)
 		seq++
 		return nil
 	}
@@ -158,16 +170,18 @@ func WriteSnapshot(dir string, s *seal.Sealer, coveredSeq uint64, pairs []Pair) 
 		return 0, fmt.Errorf("wal: write snapshot: %w", err)
 	}
 	for _, p := range pairs {
-		body := make([]byte, 2+len(p.Key)+len(p.Value))
-		binary.LittleEndian.PutUint16(body[:2], uint16(len(p.Key)))
-		copy(body[2:], p.Key)
-		copy(body[2+len(p.Key):], p.Value)
+		body = binary.LittleEndian.AppendUint16(body[:0], uint16(len(p.Key)))
+		body = append(append(body, p.Key...), p.Value...)
 		if err := emit(body); err != nil {
 			f.Close()
 			return 0, fmt.Errorf("wal: write snapshot: %w", err)
 		}
 	}
-	if err := emit([]byte("end")); err != nil {
+	err = emit([]byte("end"))
+	if err == nil {
+		err = flush()
+	}
+	if err != nil {
 		f.Close()
 		return 0, fmt.Errorf("wal: write snapshot trailer: %w", err)
 	}

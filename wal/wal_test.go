@@ -424,6 +424,80 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	}
 }
 
+// snapPairs builds n pairs of the size a checkpoint typically carries.
+func snapPairs(n int) []Pair {
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		pairs[i] = Pair{Key: []byte(fmt.Sprintf("key-%012d", i)), Value: bytes.Repeat([]byte{byte(i)}, 144)}
+	}
+	return pairs
+}
+
+// TestSnapshotBytesMatchRecordByRecordSealing pins the buffered write
+// path to the format: the file is exactly the framed records Seal
+// produces one at a time, across buffer flushes and around a record
+// larger than the buffer.
+func TestSnapshotBytesMatchRecordByRecordSealing(t *testing.T) {
+	dir := t.TempDir()
+	s := seal.New(7)
+	pairs := snapPairs(2000)
+	pairs[700].Value = bytes.Repeat([]byte{0x5A}, 200<<10)
+	const covered = 31
+	size, err := WriteSnapshot(dir, s, covered, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	chain := s.ChainInit(snapChainLabel, covered)
+	seq := uint64(0)
+	add := func(payload []byte) {
+		rec, next := s.Seal(seq, snapSalt(covered), chain, payload)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(rec)))
+		want = binary.LittleEndian.AppendUint32(want, ^uint32(len(rec)))
+		want = append(want, rec...)
+		chain = next
+		seq++
+	}
+	hdr := append([]byte(snapMagic), make([]byte, 16)...)
+	binary.LittleEndian.PutUint64(hdr[len(snapMagic):], covered)
+	binary.LittleEndian.PutUint64(hdr[len(snapMagic)+8:], uint64(len(pairs)))
+	add(hdr)
+	for _, p := range pairs {
+		body := binary.LittleEndian.AppendUint16(nil, uint16(len(p.Key)))
+		add(append(append(body, p.Key...), p.Value...))
+	}
+	add([]byte("end"))
+	got, err := os.ReadFile(filepath.Join(dir, SnapshotName(covered)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != int64(len(got)) || !bytes.Equal(got, want) {
+		t.Fatalf("snapshot file (%d bytes, reported %d) differs from record-by-record sealing (%d bytes)", len(got), size, len(want))
+	}
+	if _, back, err := ReadSnapshot(filepath.Join(dir, SnapshotName(covered)), s); err != nil || len(back) != len(pairs) {
+		t.Fatalf("read back: %d pairs, err %v", len(back), err)
+	}
+}
+
+// TestSnapshotWriteAllocsPerPair pins the write path's allocation
+// budget: at most one per pair (the CMAC's block state), whatever the
+// fixed per-file cost.
+func TestSnapshotWriteAllocsPerPair(t *testing.T) {
+	dir := t.TempDir()
+	s := seal.New(7)
+	pairs := snapPairs(3000)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := WriteSnapshot(dir, s, 5, pairs[:n]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if perPair := (allocs(3000) - allocs(1000)) / 2000; perPair > 1 {
+		t.Fatalf("WriteSnapshot allocates %.2f times per pair, want <= 1", perPair)
+	}
+}
+
 func TestSnapshotTamperDetected(t *testing.T) {
 	dir := t.TempDir()
 	s := seal.New(7)
