@@ -206,7 +206,7 @@ type Options struct {
 	ExpectedKeys int
 	// SecureCacheBytes is the Secure Cache EPC budget (default: as much
 	// of the EPC as remains sensible, per the paper's "as large as
-	// possible" setting — 70% of the EPC).
+	// possible" setting — 80% of the EPC).
 	SecureCacheBytes int
 	// PinBudgetBytes is the EPC budget for Merkle level pinning
 	// (default 4 MB).
@@ -246,12 +246,12 @@ type Options struct {
 	IntegrityPolicy IntegrityPolicy
 	// Shards hash-partitions the keyspace across this many independent
 	// enclave instances, each with a 1/N share of every EPC budget above
-	// (the paper's multi-tenant split, §VI-D5). Operations on different
-	// shards run concurrently; the returned store is safe for use from
-	// multiple goroutines and implements ConcurrentStore and Sharded.
+	// (the paper's multi-tenant split, §VI-D5). Each shard serializes on
+	// its own lock, so operations on different shards run concurrently.
 	// Default 1 (0 means the same): a single enclave with no router on
-	// top — not Sharded, not reporting ConcurrentSafe, and, when durable,
-	// keeping its lineage at the top of DataDir.
+	// top — NumShards reports 1 and, when durable, the lineage sits at the
+	// top of DataDir. Either way the store is safe for use from multiple
+	// goroutines.
 	Shards int
 	// DataDir, when non-empty, makes the store durable: every
 	// successful write is sealed (AES-CTR + chained CMAC under
@@ -262,8 +262,7 @@ type Options struct {
 	// and routing tampered records through IntegrityPolicy. With
 	// Shards > 1 each shard keeps its own lineage in a shard-<i>
 	// subdirectory, recovered in parallel. Empty (the default) keeps the
-	// store purely in-memory: Durable.Checkpoint then returns
-	// ErrNotDurable.
+	// store purely in-memory: Checkpoint then returns ErrNotDurable.
 	DataDir string
 	// Fsync selects when the WAL flushes (default FsyncBatch: one
 	// fsync per append call, so batched writes group-commit). Only
@@ -271,7 +270,7 @@ type Options struct {
 	Fsync FsyncPolicy
 	// CheckpointEvery takes a background checkpoint after this many
 	// logged records (0, the default, disables automatic checkpoints;
-	// explicit Durable.Checkpoint calls always work). Only meaningful
+	// explicit Checkpoint calls always work). Only meaningful
 	// with DataDir.
 	CheckpointEvery int
 	// ColdCompress enables the cold tier (DESIGN.md §15). Checkpoints
@@ -483,7 +482,12 @@ type TxnOp struct {
 	Version uint64
 }
 
-// Store is the public interface every scheme implements.
+// Store is the whole public surface of a store: every Store that Open
+// returns, any scheme and any shard count, implements all of it. The
+// "not supported" answers are errors, not missing methods: Scan on an
+// unordered index returns ErrNoScan, Checkpoint without DataDir returns
+// ErrNotDurable, and a store without DataDir reports zero WALShards.
+// Every method is safe for concurrent use.
 type Store interface {
 	// Put inserts or updates a key.
 	Put(key, value []byte) error
@@ -545,6 +549,57 @@ type Store interface {
 	// ResetStats zeroes the enclave clock and event counters (start of
 	// a measured window).
 	ResetStats()
+
+	// Scan visits every pair with start <= key < end (nil end =
+	// unbounded) in key order, stopping early when fn returns false. The
+	// slices passed to fn are only valid during the call. Only AriaBPTree
+	// keeps keys ordered; every other scheme returns ErrNoScan.
+	Scan(start, end []byte, fn func(key, value []byte) bool) error
+
+	// Durable is Checkpoint and Close.
+	Durable
+	// EdgeCaller is ChargeEcall: networked frontends (kvnet) charge one
+	// enclave entry per request they carry across the trust boundary.
+	EdgeCaller
+
+	// NumShards returns the shard count (1 unless Options.Shards > 1).
+	NumShards() int
+	// ShardFor returns the index of the shard serving key.
+	ShardFor(key []byte) int
+	// ShardStats returns shard i's own snapshot; the aggregate Stats sums
+	// counters and reports the slowest shard's clock.
+	ShardStats(i int) Stats
+
+	// WALShards returns the number of sealed WAL lineages a replica can
+	// be fed from: one per shard when the store is durable, zero when it
+	// was opened without DataDir and cannot be replicated. The two
+	// methods below take a lineage index i < WALShards().
+	WALShards() int
+	// WALShardDir returns the directory holding lineage i's segment and
+	// snapshot files.
+	WALShardDir(i int) string
+	// WALShardNextSeq returns the next sequence number lineage i will
+	// assign; every record below it is committed.
+	WALShardNextSeq(i int) uint64
+	// SetCommitHook installs fn to run after every committed WAL append
+	// on any lineage. fn runs under a shard's lock and must not block;
+	// pass nil to clear.
+	SetCommitHook(fn func())
+
+	// UntrustedSize returns the size of the untrusted arena in bytes
+	// (with Shards > 1, the concatenation of the shards' arenas, shard 0
+	// first). The four untrusted-memory methods emulate a malicious host
+	// for security demonstrations and tests; enclave (EPC) state is never
+	// reachable through them.
+	UntrustedSize() int
+	// FlipUntrustedByte XORs one byte of untrusted memory with mask,
+	// returning false if the offset is out of range.
+	FlipUntrustedByte(offset int, mask byte) bool
+	// SnapshotUntrusted copies the untrusted arena (for replay attacks).
+	SnapshotUntrusted() []byte
+	// RestoreUntrusted overwrites the untrusted arena with a snapshot
+	// taken earlier (a wholesale replay attack).
+	RestoreUntrusted(snap []byte)
 }
 
 // Open creates a store of the selected scheme inside a fresh simulated
@@ -721,35 +776,10 @@ func openEngine(opts Options) (*shard, error) {
 	return s, nil
 }
 
-// Ranger is implemented by stores whose index keeps keys ordered and can
-// serve verified range scans (currently AriaBPTree).
-type Ranger interface {
-	// Scan visits every pair with start <= key < end (nil end =
-	// unbounded) in key order, stopping early when fn returns false.
-	// The slices passed to fn are only valid during the call.
-	Scan(start, end []byte, fn func(key, value []byte) bool) error
-}
-
-// Corrupter is implemented by stores whose untrusted memory can be modified
-// in place, emulating a malicious host. It exists for security
-// demonstrations and tests; enclave (EPC) state is never reachable.
-type Corrupter interface {
-	// UntrustedSize returns the size of the untrusted arena in bytes.
-	UntrustedSize() int
-	// FlipUntrustedByte XORs one byte of untrusted memory with mask,
-	// returning false if the offset is out of range.
-	FlipUntrustedByte(offset int, mask byte) bool
-	// SnapshotUntrusted copies the untrusted arena (for replay attacks).
-	SnapshotUntrusted() []byte
-	// RestoreUntrusted overwrites the untrusted arena with a snapshot
-	// taken earlier (a wholesale replay attack).
-	RestoreUntrusted(snap []byte)
-}
-
-// EdgeCaller is implemented by stores backed by the simulated enclave; each
-// call charges one ECALL (enclave entry). Networked frontends (kvnet) call
-// it per request, modelling the edge-call cost a real deployment pays when
-// requests originate outside the enclave.
+// EdgeCaller is the part of Store that charges one ECALL (enclave entry)
+// per call. Networked frontends (kvnet) call it per request, modelling
+// the edge-call cost a real deployment pays when requests originate
+// outside the enclave.
 type EdgeCaller interface {
 	// ChargeEcall charges the simulated enclave one ECALL entry cost.
 	ChargeEcall()

@@ -180,12 +180,8 @@ func TestRangerScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, ok := st.(Ranger)
-	if !ok {
-		t.Fatal("AriaBPTree store does not implement Ranger")
-	}
 	var got []string
-	if err := r.Scan([]byte("rk-010"), []byte("rk-020"), func(k, v []byte) bool {
+	if err := st.Scan([]byte("rk-010"), []byte("rk-020"), func(k, v []byte) bool {
 		got = append(got, string(k))
 		return true
 	}); err != nil {
@@ -196,9 +192,7 @@ func TestRangerScan(t *testing.T) {
 	}
 	// Hash-indexed stores must report ErrNoScan, not silently no-op.
 	hst := openSmall(t, AriaHash)
-	if hr, ok := hst.(Ranger); ok {
-		if err := hr.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrNoScan) {
-			t.Errorf("hash scan err = %v, want ErrNoScan", err)
-		}
+	if err := hst.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrNoScan) {
+		t.Errorf("hash scan err = %v, want ErrNoScan", err)
 	}
 }

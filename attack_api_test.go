@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// Attack tests through the public API and the Corrupter fault-injection
-// interface: the library-level counterpart of the raw-memory attack tests
+// Attack tests through the public API and its untrusted-memory
+// fault-injection methods: the library-level counterpart of the raw-memory attack tests
 // in internal/core.
 
 func corruptibleSchemes() []Scheme {
@@ -37,14 +37,10 @@ func loadStore(t *testing.T, scheme Scheme, n int) Store {
 func TestCorrupterExposed(t *testing.T) {
 	for _, s := range corruptibleSchemes() {
 		st := loadStore(t, s, 100)
-		cor, ok := st.(Corrupter)
-		if !ok {
-			t.Fatalf("%v does not implement Corrupter", s)
-		}
-		if cor.UntrustedSize() == 0 {
+		if st.UntrustedSize() == 0 {
 			t.Errorf("%v reports empty untrusted arena", s)
 		}
-		if cor.FlipUntrustedByte(-1, 1) || cor.FlipUntrustedByte(1<<40, 1) {
+		if st.FlipUntrustedByte(-1, 1) || st.FlipUntrustedByte(1<<40, 1) {
 			t.Errorf("%v accepted out-of-range corruption", s)
 		}
 	}
@@ -57,12 +53,11 @@ func TestRandomCorruptionCaughtByAudit(t *testing.T) {
 			if err := st.VerifyIntegrity(); err != nil {
 				t.Fatalf("clean audit failed: %v", err)
 			}
-			cor := st.(Corrupter)
 			rng := rand.New(rand.NewSource(3))
 			// Flood enough random flips that live state is hit with
 			// overwhelming probability.
 			for i := 0; i < 5000; i++ {
-				cor.FlipUntrustedByte(rng.Intn(cor.UntrustedSize()), 0xA5)
+				st.FlipUntrustedByte(rng.Intn(st.UntrustedSize()), 0xA5)
 			}
 			if err := st.VerifyIntegrity(); !errors.Is(err, ErrIntegrity) {
 				t.Errorf("audit after 5000 flips: %v, want ErrIntegrity", err)
@@ -75,15 +70,14 @@ func TestWholesaleReplayCaught(t *testing.T) {
 	for _, s := range []Scheme{AriaHash, AriaTree, ShieldStoreScheme} {
 		t.Run(s.String(), func(t *testing.T) {
 			st := loadStore(t, s, 500)
-			cor := st.(Corrupter)
-			snap := cor.SnapshotUntrusted()
+			snap := st.SnapshotUntrusted()
 			// Honest overwrites advance the counters.
 			for i := 0; i < 500; i++ {
 				if err := st.Put([]byte(fmt.Sprintf("atk-%06d", i)), []byte("fresh!")); err != nil {
 					t.Fatal(err)
 				}
 			}
-			cor.RestoreUntrusted(snap)
+			st.RestoreUntrusted(snap)
 			// Either a targeted read or the audit must flag the replay.
 			_, gerr := st.Get([]byte("atk-000000"))
 			aerr := st.VerifyIntegrity()
@@ -96,18 +90,14 @@ func TestWholesaleReplayCaught(t *testing.T) {
 
 func TestBaselineOutOfAttackSurface(t *testing.T) {
 	// Baseline stores keep everything in the EPC: there is no untrusted
-	// state to corrupt. The semantics layer passes the Corrupter surface
-	// through uniformly, so the contract is an empty arena — zero bytes,
-	// and no flip can ever land.
+	// state to corrupt. Every Store has the untrusted-memory methods, so
+	// the contract is an empty arena — zero bytes, and no flip can ever
+	// land.
 	st := loadStore(t, BaselineHash, 10)
-	cor, ok := st.(Corrupter)
-	if !ok {
-		t.Fatal("store does not expose the Corrupter surface")
-	}
-	if n := cor.UntrustedSize(); n != 0 {
+	if n := st.UntrustedSize(); n != 0 {
 		t.Errorf("baseline store exposes %d untrusted bytes, want 0", n)
 	}
-	if cor.FlipUntrustedByte(0, 0x01) {
+	if st.FlipUntrustedByte(0, 0x01) {
 		t.Error("flip landed on a store with no untrusted memory")
 	}
 }
@@ -116,13 +106,12 @@ func TestHonestOperationAfterFailedAttack(t *testing.T) {
 	// Detection must not corrupt the trusted state: after an attack is
 	// detected on one key, other (untampered) keys remain readable.
 	st := loadStore(t, AriaHash, 1000)
-	cor := st.(Corrupter)
 	// Find a flip that breaks exactly one key.
 	var victim []byte
 	rng := rand.New(rand.NewSource(9))
 	for attempt := 0; attempt < 200 && victim == nil; attempt++ {
-		off := rng.Intn(cor.UntrustedSize())
-		cor.FlipUntrustedByte(off, 0x01)
+		off := rng.Intn(st.UntrustedSize())
+		st.FlipUntrustedByte(off, 0x01)
 		broken := 0
 		var b []byte
 		for i := 0; i < 1000; i += 13 {
@@ -136,7 +125,7 @@ func TestHonestOperationAfterFailedAttack(t *testing.T) {
 			victim = b
 			break
 		}
-		cor.FlipUntrustedByte(off, 0x01) // undo and try elsewhere
+		st.FlipUntrustedByte(off, 0x01) // undo and try elsewhere
 	}
 	if victim == nil {
 		t.Skip("no single-key corruption found at this seed")

@@ -181,10 +181,9 @@ func TestShardedBatchFanOut(t *testing.T) {
 
 	// Every shard served a sub-batch (200 keys over 4 shards cannot all
 	// land on one), and the aggregate sums them.
-	sh := st.(Sharded)
 	var batches, batchedKeys uint64
-	for i := 0; i < sh.NumShards(); i++ {
-		ss := sh.ShardStats(i)
+	for i := 0; i < st.NumShards(); i++ {
+		ss := st.ShardStats(i)
 		if ss.Batches == 0 {
 			t.Fatalf("shard %d served no batches", i)
 		}

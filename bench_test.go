@@ -220,8 +220,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ck := st.(aria.Durable)
-	defer ck.Close()
+	defer st.Close()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("ckpt-%011d", i)) }
 	value := make([]byte, 128)
 	batch := make([]aria.KV, 0, 256)
@@ -235,7 +234,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			batch = batch[:0]
 		}
 	}
-	if err := ck.Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
 
@@ -266,7 +265,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := ck.Checkpoint(); err != nil {
+		if err := st.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -121,16 +121,12 @@ func cutOpen(t *testing.T, opts Options, nkeys int) *cutWriter {
 	opts.Now = func() time.Time { return time.Unix(0, w.now) }
 	w.opts = opts
 	w.st = mustOpen(t, opts)
-	w.shardOf = func([]byte) int { return 0 }
-	n := 1
-	if sh, ok := w.st.(Sharded); ok {
-		w.shardOf, n = sh.ShardFor, sh.NumShards()
-	}
-	rep := w.st.(Replicable)
+	w.shardOf = w.st.ShardFor
+	n := w.st.NumShards()
 	w.keys = make([][]string, n)
 	for i := 0; i < n; i++ {
 		w.lin = append(w.lin, &cutLineage{
-			dir: rep.WALShardDir(i), seed: opts.Seed, base: rep.WALShardNextSeq(i) - 1,
+			dir: w.st.WALShardDir(i), seed: opts.Seed, base: w.st.WALShardNextSeq(i) - 1,
 			live: map[string]cutEnt{}, cuts: map[int]bool{0: true},
 		})
 		if n > 1 {
@@ -312,30 +308,31 @@ func (w *cutWriter) run(stop <-chan struct{}) {
 func (w *cutWriter) checkSnapshot(l *cutLineage) int {
 	t := w.t
 	t.Helper()
-	snaps, err := wal.Snapshots(l.dir)
+	snaps, err := wal.ListSnapshots(l.dir)
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("%s: no snapshot to check (err %v)", l.dir, err)
 	}
-	covered, pairs, err := wal.ReadSnapshot(snaps[0], seal.New(l.seed))
+	path := snaps[0].Path
+	covered, pairs, err := wal.ReadSnapshot(path, seal.New(l.seed))
 	if err != nil {
-		t.Fatalf("read %s: %v", snaps[0], err)
+		t.Fatalf("read %s: %v", path, err)
 	}
 	n := int(covered - l.base)
 	if covered < l.base || n > len(l.recs) || !l.cuts[n] {
-		t.Fatalf("%s covers seq %d = %d records of %d: not on an operation boundary", snaps[0], covered, n, len(l.recs))
+		t.Fatalf("%s covers seq %d = %d records of %d: not on an operation boundary", path, covered, n, len(l.recs))
 	}
 	want, clock := l.at(n)
 	if len(pairs) == 0 || len(pairs[0].Key) != 0 || len(pairs[0].Value) != 8 ||
 		binary.LittleEndian.Uint64(pairs[0].Value) != clock {
-		t.Fatalf("%s: version-clock pair wrong, want clock %d", snaps[0], clock)
+		t.Fatalf("%s: version-clock pair wrong, want clock %d", path, clock)
 	}
 	pairs = pairs[1:]
 	if len(pairs) != len(want) {
-		t.Errorf("%s: %d keys, oracle has %d after %d records", snaps[0], len(pairs), len(want), n)
+		t.Errorf("%s: %d keys, oracle has %d after %d records", path, len(pairs), len(want), n)
 	}
 	for i, p := range pairs {
 		if i > 0 && bytes.Compare(pairs[i-1].Key, p.Key) >= 0 {
-			t.Fatalf("%s: keys out of order at %q", snaps[0], p.Key)
+			t.Fatalf("%s: keys out of order at %q", path, p.Key)
 		}
 		val, ver, exp, err := decodeSnapValue(p.Value)
 		if err != nil {
@@ -344,7 +341,7 @@ func (w *cutWriter) checkSnapshot(l *cutLineage) int {
 		e, ok := want[string(p.Key)]
 		if !ok || !bytes.Equal(val, e.val) || ver != e.ver || exp != e.exp {
 			t.Fatalf("%s: key %q = %q v%d exp %d, but after %d records the oracle has %q v%d exp %d (present %v): not a cut",
-				snaps[0], p.Key, val, ver, exp, n, e.val, e.ver, e.exp, ok)
+				path, p.Key, val, ver, exp, n, e.val, e.ver, e.exp, ok)
 		}
 	}
 	return n
@@ -407,7 +404,7 @@ func TestCheckpointIsConsistentCut(t *testing.T) {
 			}()
 			midRun := 0
 			for round := 0; round < 25 && !t.Failed(); round++ {
-				if err := w.st.(Durable).Checkpoint(); err != nil {
+				if err := w.st.Checkpoint(); err != nil {
 					t.Fatalf("checkpoint %d: %v", round, err)
 				}
 				w.mu.Lock()
@@ -478,7 +475,7 @@ func TestCrashMatrixConcurrentSnapshot(t *testing.T) {
 					t.Fatal("no write overlapped a run in 50 runs: nothing to test")
 				}
 				before = preimages(w.st)
-				if err := w.st.(Durable).Checkpoint(); err != nil {
+				if err := w.st.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -626,7 +623,7 @@ func TestCheckpointRacesClose(t *testing.T) {
 						return
 					default:
 					}
-					if err := st.(Durable).Checkpoint(); err != nil {
+					if err := st.Checkpoint(); err != nil {
 						if !errors.Is(err, errCkptClosed) {
 							t.Errorf("checkpoint racing close: %v", err)
 						}

@@ -238,22 +238,15 @@ func main() {
 	// A replication node is closed as a whole — its appliers or
 	// publishers first, then the durable store underneath.
 	if *dataDir != "" {
-		d, ok := st.(aria.Durable)
-		if !ok {
-			log.Printf("aria-server: store is unexpectedly not durable; skipping final checkpoint")
-		} else {
-			if err := d.Checkpoint(); err != nil {
-				log.Printf("aria-server: final checkpoint failed: %v (WAL still holds every record)", err)
-			}
-			cerr := error(nil)
-			if node != nil {
-				cerr = node.Close()
-			} else {
-				cerr = d.Close()
-			}
-			if cerr != nil {
-				log.Printf("aria-server: close store: %v", cerr)
-			}
+		if err := st.Checkpoint(); err != nil {
+			log.Printf("aria-server: final checkpoint failed: %v (WAL still holds every record)", err)
+		}
+		closer := st.Close
+		if node != nil {
+			closer = node.Close
+		}
+		if err := closer(); err != nil {
+			log.Printf("aria-server: close store: %v", err)
 		}
 	}
 	log.Printf("aria-server: shut down cleanly (health: %s)", st.Stats().Health())

@@ -86,19 +86,9 @@ func (b *localBackend) Get(k []byte) ([]byte, error) { return b.st.Get(k) }
 func (b *localBackend) Delete(k []byte) error        { return b.st.Delete(k) }
 func (b *localBackend) Stats() (aria.Stats, error)   { return b.st.Stats(), nil }
 func (b *localBackend) Verify() error                { return b.st.VerifyIntegrity() }
-func (b *localBackend) Checkpoint() error {
-	d, ok := b.st.(aria.Durable)
-	if !ok {
-		return aria.ErrNotDurable
-	}
-	return d.Checkpoint()
-}
+func (b *localBackend) Checkpoint() error            { return b.st.Checkpoint() }
 func (b *localBackend) Scan(start, end []byte, fn func(k, v []byte) bool) error {
-	r, ok := b.st.(aria.Ranger)
-	if !ok {
-		return aria.ErrNoScan
-	}
-	return r.Scan(start, end, fn)
+	return b.st.Scan(start, end, fn)
 }
 
 // remoteBackend serves commands from an aria-server over kvnet.
@@ -191,11 +181,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if d, ok := st.(aria.Durable); ok {
-			defer d.Close()
-			if rec := st.Stats().RecoveredRecords; rec > 0 {
-				fmt.Printf("recovered %d records from %s\n", rec, *dataDir)
-			}
+		defer st.Close()
+		if rec := st.Stats().RecoveredRecords; rec > 0 {
+			fmt.Printf("recovered %d records from %s\n", rec, *dataDir)
 		}
 		be = &localBackend{st: st}
 		fmt.Printf("aria %s store ready (EPC %d MB, expecting %d keys). Type 'help'.\n",

@@ -47,7 +47,7 @@ func fillCold(t *testing.T, st Store, n int) {
 // checkpoint runs one explicit checkpoint, failing the test on error.
 func checkpoint(t *testing.T, st Store) {
 	t.Helper()
-	if err := st.(Durable).Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 }
@@ -228,7 +228,7 @@ func TestColdRecoveryMatchesSnapshotRecovery(t *testing.T) {
 				return err
 			}
 		}
-		if err := st.(Durable).Checkpoint(); err != nil {
+		if err := st.Checkpoint(); err != nil {
 			return err
 		}
 		for i := 0; i < 60; i += 2 {
@@ -241,7 +241,7 @@ func TestColdRecoveryMatchesSnapshotRecovery(t *testing.T) {
 				return err
 			}
 		}
-		if err := st.(Durable).Checkpoint(); err != nil {
+		if err := st.Checkpoint(); err != nil {
 			return err
 		}
 		// Tail ops that stay WAL-only past the last checkpoint.

@@ -92,7 +92,7 @@ func TestCompatFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open fixture: %v", err)
 			}
-			defer st.(Durable).Close()
+			defer st.Close()
 
 			var ttl []string
 			for k, want := range fx.Keys {

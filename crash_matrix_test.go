@@ -486,7 +486,7 @@ func coldCrashSetup(t *testing.T, baseline int) (files map[string][]byte, tailWA
 			t.Fatal(err)
 		}
 	}
-	if err := st.(Durable).Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// The checkpoint rotated the WAL: the script lands in the newest

@@ -30,9 +30,9 @@ import (
 	"github.com/ariakv/aria/wal"
 )
 
-// Durable is implemented by every store Open returns. Opened without
-// Options.DataDir there is no lineage: Checkpoint returns ErrNotDurable
-// and Close only stops the store's background goroutine, if it has one.
+// Durable is the lifecycle part of Store. Opened without Options.DataDir
+// there is no lineage: Checkpoint returns ErrNotDurable and Close only
+// stops the store's background goroutine, if it has one.
 type Durable interface {
 	// Checkpoint writes an atomic sealed snapshot of the keyspace as of
 	// one instant (write-temp + rename), then truncates the WAL segments
@@ -376,15 +376,15 @@ func (s *shard) openDurable(opts Options, dir string) error {
 	}
 
 	// Then the newest valid snapshot — but only if it is newer than the
-	// recovered set (wal.Snapshots lists newest first, so the first
+	// recovered set (wal.ListSnapshots lists newest first, so the first
 	// snapshot at or below the set's covered seq ends the search).
-	snaps, err := wal.Snapshots(dir)
+	snaps, err := wal.ListSnapshots(dir)
 	if err != nil {
 		return fmt.Errorf("aria: list snapshots: %w", err)
 	}
 	coveredSeq := uint64(0)
-	for _, path := range snaps {
-		covered, pairs, rerr := wal.ReadSnapshot(path, d.sealer)
+	for _, snap := range snaps {
+		covered, pairs, rerr := wal.ReadSnapshot(snap.Path, d.sealer)
 		if rerr != nil {
 			if !errors.Is(rerr, wal.ErrTampered) {
 				return fmt.Errorf("aria: read snapshot: %w", rerr)
@@ -838,8 +838,7 @@ func (s *shard) unpersistable(k string, err error) (bool, error) {
 	return false, fmt.Errorf("aria: checkpoint read %q: %w", k, err)
 }
 
-// WALShards implements Replicable: a durable shard is one lineage, any
-// other none.
+// WALShards reports one lineage for a durable shard, none otherwise.
 func (s *shard) WALShards() int {
 	if s.dur == nil {
 		return 0
@@ -847,18 +846,17 @@ func (s *shard) WALShards() int {
 	return 1
 }
 
-// WALShardDir implements Replicable: the lineage's directory.
 func (s *shard) WALShardDir(int) string { return s.dur.dir }
 
-// WALShardNextSeq implements Replicable: the next sequence number the
-// lineage will assign (last committed + 1).
+// WALShardNextSeq returns the next sequence number the lineage will
+// assign (last committed + 1).
 func (s *shard) WALShardNextSeq(int) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dur.log.NextSeq()
 }
 
-// SetCommitHook implements Replicable. The hook runs under the shard
+// SetCommitHook installs the replication hook. It runs under the shard
 // lock and must not block.
 func (s *shard) SetCommitHook(fn func()) {
 	s.mu.Lock()

@@ -45,11 +45,7 @@ func mustOpen(t *testing.T, opts Options) Store {
 
 func mustClose(t *testing.T, st Store) {
 	t.Helper()
-	d, ok := st.(Durable)
-	if !ok {
-		t.Fatalf("store %T is not Durable", st)
-	}
-	if err := d.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 }
@@ -58,11 +54,7 @@ func mustClose(t *testing.T, st Store) {
 func dump(t *testing.T, st Store) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	r, ok := st.(Ranger)
-	if !ok {
-		t.Fatalf("store %T has no Scan", st)
-	}
-	if err := r.Scan(nil, nil, func(k, v []byte) bool {
+	if err := st.Scan(nil, nil, func(k, v []byte) bool {
 		out[string(k)] = string(v)
 		return true
 	}); err != nil {
@@ -199,7 +191,7 @@ func TestDurableCheckpointTruncatesWAL(t *testing.T) {
 	}
 	ckpt := func() {
 		t.Helper()
-		if err := st.(Durable).Checkpoint(); err != nil {
+		if err := st.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
 	}
@@ -294,11 +286,11 @@ func TestDurableTamperedSnapshotFallsBack(t *testing.T) {
 		}
 	}
 	put(0, 50)
-	if err := st.(Durable).Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	put(50, 70)
-	if err := st.(Durable).Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	put(70, 80) // tail records beyond the newest snapshot
@@ -422,7 +414,7 @@ func TestDurableBackgroundCheckpointFailureSurfaces(t *testing.T) {
 	if run != nil || hasSnap {
 		t.Fatalf("failed run left state behind: run %v, hasSnap %v", run, hasSnap)
 	}
-	if err := st.(Durable).Close(); err == nil || !strings.Contains(err.Error(), "write snapshot") {
+	if err := st.Close(); err == nil || !strings.Contains(err.Error(), "write snapshot") {
 		t.Fatalf("Close = %v, want the background checkpoint's failure", err)
 	}
 }
@@ -527,7 +519,7 @@ func TestDurableShardedRecovery(t *testing.T) {
 	if rec := st2.Stats().RecoveredRecords; rec != 200 {
 		t.Errorf("aggregate RecoveredRecords = %d, want 200", rec)
 	}
-	if err := st2.(Durable).Checkpoint(); err != nil {
+	if err := st2.Checkpoint(); err != nil {
 		t.Fatalf("sharded checkpoint: %v", err)
 	}
 	if ck := st2.Stats().Checkpoints; ck != 4 {
@@ -629,26 +621,30 @@ func TestDurableNotDurableSentinel(t *testing.T) {
 	opts := durableOpts("")
 	opts.DataDir = ""
 
-	// Unsharded, unmetered: the semantics layer always exposes Durable
-	// (Close stops its expiry sweeper), but Checkpoint reports the
-	// sentinel because there is no lineage underneath.
+	// Unsharded: Close stops the expiry sweeper, but Checkpoint reports
+	// the sentinel and there is no lineage to replicate.
 	plain := mustOpen(t, opts)
-	if err := plain.(Durable).Checkpoint(); !errors.Is(err, ErrNotDurable) {
+	if err := plain.Checkpoint(); !errors.Is(err, ErrNotDurable) {
 		t.Errorf("non-durable Checkpoint: %v, want ErrNotDurable", err)
 	}
-	if err := plain.(Durable).Close(); err != nil {
+	if n := plain.WALShards(); n != 0 {
+		t.Errorf("non-durable WALShards = %d, want 0", n)
+	}
+	if err := plain.Close(); err != nil {
 		t.Errorf("non-durable Close: %v, want nil no-op", err)
 	}
 
-	// Sharded: the router always exposes Durable and reports the
-	// sentinel per shard.
+	// Sharded: the router reports the sentinel per shard.
 	so := opts
 	so.Shards = 2
 	sh := mustOpen(t, so)
-	if err := sh.(Durable).Checkpoint(); !errors.Is(err, ErrNotDurable) {
+	if err := sh.Checkpoint(); !errors.Is(err, ErrNotDurable) {
 		t.Errorf("sharded non-durable Checkpoint: %v, want ErrNotDurable", err)
 	}
-	if err := sh.(Durable).Close(); err != nil {
+	if n := sh.WALShards(); n != 0 {
+		t.Errorf("sharded non-durable WALShards = %d, want 0", n)
+	}
+	if err := sh.Close(); err != nil {
 		t.Errorf("sharded non-durable Close: %v, want nil no-op", err)
 	}
 }
@@ -696,7 +692,7 @@ func TestDurableMetricsFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.(Durable).Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 

@@ -28,15 +28,13 @@ func main() {
 	}
 	fmt.Println("loaded 2000 accounts; clean audit:", audit(st))
 
-	cor := st.(aria.Corrupter)
-
 	// --- Attack 1: random bit flips across untrusted memory. ------------
 	// Everything outside the enclave is fair game: entries, Merkle
 	// nodes, chain pointers, allocator free lists.
 	rng := rand.New(rand.NewSource(1))
 	flips := 0
 	for i := 0; i < 200; i++ {
-		if cor.FlipUntrustedByte(rng.Intn(cor.UntrustedSize()), 0xFF) {
+		if st.FlipUntrustedByte(rng.Intn(st.UntrustedSize()), 0xFF) {
 			flips++
 		}
 	}
@@ -58,12 +56,11 @@ func main() {
 	for i := 0; i < 500; i++ {
 		_ = st2.Put(acct(i), []byte(fmt.Sprintf("balance=%06d", 100)))
 	}
-	cor2 := st2.(aria.Corrupter)
-	snap := cor2.SnapshotUntrusted()
+	snap := st2.SnapshotUntrusted()
 	if err := st2.Put(acct(7), []byte("balance=000000")); err != nil { // spend it all
 		log.Fatal(err)
 	}
-	cor2.RestoreUntrusted(snap) // host replays the old, richer state
+	st2.RestoreUntrusted(snap) // host replays the old, richer state
 	fmt.Println("\n[attack 2] replayed a pre-spend snapshot of untrusted memory")
 	_, err = st2.Get(acct(7))
 	if errors.Is(err, aria.ErrIntegrity) {

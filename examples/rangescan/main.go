@@ -35,11 +35,10 @@ func main() {
 	// Every sample read by a scan has passed the full Merkle+MAC
 	// verification path, so the dashboard cannot be fed stale or forged
 	// readings.
-	ranger := st.(aria.Ranger)
 	fmt.Println("\nlast 5 samples of sensor-2:")
 	start := []byte("sensor-2/t-000995")
 	end := []byte("sensor-2/t-999999")
-	if err := ranger.Scan(start, end, func(k, v []byte) bool {
+	if err := st.Scan(start, end, func(k, v []byte) bool {
 		fmt.Printf("  %s = %s\n", k, v)
 		return true
 	}); err != nil {
@@ -47,7 +46,7 @@ func main() {
 	}
 
 	count := 0
-	if err := ranger.Scan([]byte("sensor-1/"), []byte("sensor-2/"), func(k, v []byte) bool {
+	if err := st.Scan([]byte("sensor-1/"), []byte("sensor-2/"), func(k, v []byte) bool {
 		count++
 		return true
 	}); err != nil {

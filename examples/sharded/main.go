@@ -95,10 +95,9 @@ func main() {
 
 	// Per-shard breakdown: keys and gets show how evenly the hash router
 	// spread the keyspace and the traffic.
-	sh := st.(aria.Sharded)
 	fmt.Println("shard  keys   gets    hit-ratio  epc-used")
-	for i := 0; i < sh.NumShards(); i++ {
-		ss := sh.ShardStats(i)
+	for i := 0; i < st.NumShards(); i++ {
+		ss := st.ShardStats(i)
 		fmt.Printf("%-5d  %-5d  %-6d  %-9s  %d KB\n",
 			i, ss.Keys, ss.Gets, fmt.Sprintf("%.0f%%", ss.CacheHitRatio*100),
 			ss.EPCUsedBytes>>10)

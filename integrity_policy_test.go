@@ -52,20 +52,19 @@ func policyKey(i int) []byte { return []byte(fmt.Sprintf("atk-%06d", i)) }
 func findNarrowCorruption(t *testing.T) int {
 	t.Helper()
 	st := loadPolicyStore(t, FailStop)
-	cor := st.(Corrupter)
 	limit := 65536
-	if s := cor.UntrustedSize(); s < limit {
+	if s := st.UntrustedSize(); s < limit {
 		limit = s
 	}
 	for off := 0; off < limit; off += 61 {
-		cor.FlipUntrustedByte(off, 0xA5)
+		st.FlipUntrustedByte(off, 0xA5)
 		broken := 0
 		for i := 0; i < policyKeys; i++ {
 			if _, err := st.Get(policyKey(i)); errors.Is(err, ErrIntegrity) {
 				broken++
 			}
 		}
-		cor.FlipUntrustedByte(off, 0xA5) // undo before deciding
+		st.FlipUntrustedByte(off, 0xA5) // undo before deciding
 		if broken >= 1 && broken <= 8 {
 			return off
 		}
@@ -101,8 +100,7 @@ func TestQuarantinePolicyDegradesNotDies(t *testing.T) {
 	if st.Stats().Health() != HealthOK {
 		t.Fatalf("pre-attack health = %v", st.Stats().Health())
 	}
-	cor := st.(Corrupter)
-	cor.FlipUntrustedByte(off, 0x01)
+	st.FlipUntrustedByte(off, 0x01)
 
 	broken := brokenSet(t, st)
 	if len(broken) == 0 {
@@ -122,7 +120,7 @@ func TestQuarantinePolicyDegradesNotDies(t *testing.T) {
 	// Poisoned keys short-circuit with the quarantine sentinel; every
 	// other key keeps serving — even after the attacker restores the
 	// byte, because trust, once lost, does not silently return.
-	cor.FlipUntrustedByte(off, 0x01) // attacker "undoes" the tamper
+	st.FlipUntrustedByte(off, 0x01) // attacker "undoes" the tamper
 	for i := 0; i < policyKeys; i++ {
 		k := policyKey(i)
 		v, err := st.Get(k)
@@ -151,8 +149,7 @@ func TestFailStopPolicyStaysFailFast(t *testing.T) {
 		t.Skip("no narrow single-flip corruption found at this seed")
 	}
 	st := loadPolicyStore(t, FailStop)
-	cor := st.(Corrupter)
-	cor.FlipUntrustedByte(off, 0x01)
+	st.FlipUntrustedByte(off, 0x01)
 
 	broken := brokenSet(t, st)
 	if len(broken) == 0 {
@@ -177,7 +174,7 @@ func TestFailStopPolicyStaysFailFast(t *testing.T) {
 	}
 	// FailStop is stateless per key: restoring the byte restores reads,
 	// unlike Quarantine.
-	cor.FlipUntrustedByte(off, 0x01)
+	st.FlipUntrustedByte(off, 0x01)
 	for k := range broken {
 		if _, err := st.Get([]byte(k)); err != nil {
 			t.Fatalf("FailStop key %s still failing after restore: %v", k, err)

@@ -84,10 +84,6 @@ func ccachePoint(p Params, keys int, dist workload.Dist, readRatio float64, pct 
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	edge, ok := st.(aria.EdgeCaller)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("store %T does not implement aria.EdgeCaller", st)
-	}
 	var lru *ccache.LRU
 	maxEntries := keys * pct / 100
 	if maxEntries > 0 {
@@ -107,7 +103,7 @@ func ccachePoint(p Params, keys int, dist workload.Dist, readRatio float64, pct 
 				// Writes go to the server regardless of the cache, and
 				// coherence drops the local copy — the same work the
 				// push stream performs on every remote cache.
-				edge.ChargeEcall()
+				st.ChargeEcall()
 				if err := st.Put(op.Key, op.Value); err != nil {
 					return err
 				}
@@ -131,7 +127,7 @@ func ccachePoint(p Params, keys int, dist workload.Dist, readRatio float64, pct 
 			if lru != nil {
 				tok = lru.Begin(op.Key)
 			}
-			edge.ChargeEcall()
+			st.ChargeEcall()
 			v, err := st.Get(op.Key)
 			if err != nil {
 				if err == aria.ErrNotFound {

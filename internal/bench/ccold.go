@@ -124,11 +124,10 @@ func ccoldPoint(p Params, keys int, cold bool) (Result, int64, error) {
 	if err != nil {
 		return Result{}, 0, err
 	}
-	d := st.(aria.Durable)
-	if err := d.Checkpoint(); err != nil {
+	if err := st.Checkpoint(); err != nil {
 		return Result{}, 0, err
 	}
-	if err := d.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		return Result{}, 0, err
 	}
 
@@ -139,7 +138,7 @@ func ccoldPoint(p Params, keys int, cold bool) (Result, int64, error) {
 		return Result{}, 0, err
 	}
 	r, err := ccoldMeasure(st, wcfg, p.Warmup, p.Ops, ccoldEvery(p))
-	if cerr := st.(aria.Durable).Close(); err == nil && cerr != nil {
+	if cerr := st.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("close after measured window: %w", cerr)
 	}
 	if err != nil {
@@ -162,7 +161,6 @@ func ccoldMeasure(st aria.Store, wcfg workload.Config, warmup, ops, every int) (
 	if err != nil {
 		return Result{}, err
 	}
-	d := st.(aria.Durable)
 	var op workload.Op
 	run := func(n int, phase string) error {
 		for i := 0; i < n; i++ {
@@ -171,7 +169,7 @@ func ccoldMeasure(st aria.Store, wcfg workload.Config, warmup, ops, every int) (
 				return fmt.Errorf("%s op %d: %w", phase, i, err)
 			}
 			if (i+1)%every == 0 {
-				if err := d.Checkpoint(); err != nil {
+				if err := st.Checkpoint(); err != nil {
 					return fmt.Errorf("%s checkpoint at op %d: %w", phase, i, err)
 				}
 			}

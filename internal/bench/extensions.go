@@ -73,7 +73,6 @@ func xscan(p Params, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ranger := st.(aria.Ranger)
 	t := newTable("range-len", "scan-ops/s", "pointget-ops/s", "speedup")
 	for _, rangeLen := range []int{10, 100, 1000} {
 		rounds := 2000 / rangeLen
@@ -88,7 +87,7 @@ func xscan(p Params, w io.Writer) error {
 			startIdx := (r * 7919) % (keys - rangeLen)
 			start := append([]byte(nil), gen.KeyAt(startIdx)...)
 			end := append([]byte(nil), gen.KeyAt(startIdx+rangeLen)...)
-			if err := ranger.Scan(start, end, func(k, v []byte) bool {
+			if err := st.Scan(start, end, func(k, v []byte) bool {
 				visited++
 				return true
 			}); err != nil {

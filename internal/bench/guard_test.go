@@ -262,11 +262,10 @@ func TestColdSnapshotSizeGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d := st.(aria.Durable)
-		if err := d.Checkpoint(); err != nil {
+		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(dir)

@@ -96,11 +96,7 @@ func measurePersist(p Params, arm persistArm, capacity, batch int) (persistPoint
 	if err != nil {
 		return persistPoint{}, err
 	}
-	defer func() {
-		if d, ok := st.(aria.Durable); ok {
-			d.Close()
-		}
-	}()
+	defer st.Close()
 	insert := func(from, to int) error {
 		if batch <= 1 {
 			for i := from; i < to; i++ {

@@ -69,11 +69,6 @@ func (l *latStore) Get(key []byte) ([]byte, error) {
 	return l.Store.Get(key)
 }
 
-func (l *latStore) ConcurrentSafe() bool {
-	cs, ok := l.Store.(aria.ConcurrentStore)
-	return ok && cs.ConcurrentSafe()
-}
-
 func wireExp(p Params, w io.Writer) error {
 	p = p.withDefaults()
 	banner(w, p, "wire", "tagged-frame pipelining on one connection; lock-step pays RTT per op")
@@ -83,7 +78,7 @@ func wireExp(p Params, w io.Writer) error {
 		EPCBytes:     p.epc(),
 		ExpectedKeys: wireKeys,
 		Seed:         uint64(p.Seed),
-		Shards:       4, // concurrency-safe store, so the server pool can overlap
+		Shards:       4, // four shard locks, so the server pool's store calls overlap
 	})
 	if err != nil {
 		return err

@@ -19,8 +19,8 @@ import (
 //	E  short-ranges   95% scans (1–16 keys) / 5% insert
 //	F  read-modify    50% read / 50% GetV+CompareAndSwap cycles
 //
-// E uses ordered Scan when the store exposes a Ranger and otherwise
-// falls back to an MGet over consecutive key indices, so the hash
+// E uses ordered Scan and, where the index answers ErrNoScan, falls
+// back to an MGet over consecutive key indices, so the hash
 // schemes pay a batch of point lookups — the honest cost of a range
 // query on a hash-partitioned store. F drives the version-checked CAS
 // path end to end. Within one (scheme, shards) cell the six workloads
@@ -193,26 +193,24 @@ func ycsbInsert(st aria.Store, gen *workload.Generator, inserted *int) error {
 	return nil
 }
 
-// ycsbScan runs one YCSB E range: an ordered Scan when the store has
-// one, else an MGet over consecutive key indices.
+// ycsbScan runs one YCSB E range: an ordered Scan when the index keeps
+// order, else an MGet over consecutive key indices.
 func ycsbScan(st aria.Store, gen *workload.Generator, inserted int) error {
 	start := gen.NextIndex()
 	n := 1 + start%ycsbMaxScanLen
-	if r, ok := st.(aria.Ranger); ok {
-		left := n
-		lo := append([]byte(nil), gen.KeyAt(start)...)
-		err := r.Scan(lo, nil, func(k, v []byte) bool {
-			left--
-			return left > 0
-		})
-		if err == nil {
-			return nil
-		}
-		if err != aria.ErrNoScan {
-			return err
-		}
-		// Hash-indexed: fall through to the point-lookup batch.
+	left := n
+	lo := append([]byte(nil), gen.KeyAt(start)...)
+	err := st.Scan(lo, nil, func(k, v []byte) bool {
+		left--
+		return left > 0
+	})
+	if err == nil {
+		return nil
 	}
+	if err != aria.ErrNoScan {
+		return err
+	}
+	// Hash-indexed: fall through to the point-lookup batch.
 	batch := make([][]byte, 0, n)
 	for j := 0; j < n; j++ {
 		batch = append(batch, append([]byte(nil), gen.KeyAt((start+j)%inserted)...))

@@ -5,7 +5,7 @@ import "bytes"
 // ScanFunc is the shape of one shard's ordered range scan: visit every
 // pair with start <= key < end (nil end = unbounded) in key order,
 // stopping early when fn returns false. The slices passed to fn are only
-// valid during the call — exactly the contract of aria.Ranger.Scan.
+// valid during the call — exactly the contract of aria.Store.Scan.
 type ScanFunc func(start, end []byte, fn func(key, value []byte) bool) error
 
 // DefaultBatch is the number of pairs Merge pulls from a shard per

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// fakeShard is an ordered in-memory map with Ranger.Scan semantics,
+// fakeShard is an ordered in-memory map with Store.Scan semantics,
 // including the only-valid-during-the-call slice contract (it reuses one
 // buffer across callbacks so aliasing bugs in Merge surface immediately).
 type fakeShard struct {

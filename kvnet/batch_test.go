@@ -139,7 +139,7 @@ func TestBatchServerEdgeAccounting(t *testing.T) {
 // the simulated stores' small-value slabs cannot reach. It counts batch
 // calls so tests can observe client-side splitting from the server side.
 type mapStore struct {
-	aria.Store // unimplemented surface (GetV, CAS, TTL, txn) panics if reached
+	aria.Store // unimplemented surface (GetV, CAS, TTL, txn, Checkpoint) panics if reached
 	mu         sync.Mutex
 	m          map[string][]byte
 	batchCalls int
@@ -230,6 +230,7 @@ func (s *mapStore) Stats() aria.Stats      { return aria.Stats{} }
 func (s *mapStore) VerifyIntegrity() error { return nil }
 func (s *mapStore) SetMeasuring(on bool)   {}
 func (s *mapStore) ResetStats()            {}
+func (s *mapStore) ChargeEcall()           {}
 func (s *mapStore) Scan(start, end []byte, fn func(k, v []byte) bool) error {
 	return nil
 }

@@ -1,6 +1,7 @@
 package kvnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -11,21 +12,20 @@ import (
 	"github.com/ariakv/aria/kvnet/chaos"
 )
 
-// Concurrency tests for the capability-detected serving path: a store
-// declaring ConcurrentSafe() lets two in-flight requests overlap inside
-// the server, while every other store keeps the old one-global-lock path.
+// Concurrency tests for the lock-free serving path: the server takes no
+// lock of its own, so two in-flight requests overlap unless the store's
+// own shard lock orders them.
 
 // gatedStore wraps a store and stalls Get on one chosen key until
 // released, making "a request is in flight inside the store" observable.
-// ConcurrentSafe is forwarded as configured, so the same wrapper drives
-// both the concurrent path and the serialized control.
+// The stall sits in front of the wrapped store, so it holds no shard
+// lock: only a lock the server takes itself could delay other requests.
 type gatedStore struct {
 	aria.Store
 	gate    string
-	other   []byte        // a loaded key on a different shard than gate
+	other   []byte        // a loaded key on a different shard than gate, when there are two
 	entered chan struct{} // closed when the gated Get has entered the store
 	release chan struct{} // the gated Get returns once this closes
-	safe    bool
 }
 
 func (g *gatedStore) Get(key []byte) ([]byte, error) {
@@ -36,15 +36,10 @@ func (g *gatedStore) Get(key []byte) ([]byte, error) {
 	return g.Store.Get(key)
 }
 
-func (g *gatedStore) ConcurrentSafe() bool { return g.safe }
-
-// twoShardKeys returns two loaded keys that route to different shards.
+// twoShardKeys returns two loaded keys, on different shards when the
+// store has more than one.
 func twoShardKeys(t *testing.T, st aria.Store) (a, b []byte) {
 	t.Helper()
-	sh, ok := st.(aria.Sharded)
-	if !ok {
-		t.Fatal("store is not sharded")
-	}
 	for i := 0; i < 256; i++ {
 		k := []byte(fmt.Sprintf("gk-%04d", i))
 		if err := st.Put(k, []byte("v")); err != nil {
@@ -53,7 +48,7 @@ func twoShardKeys(t *testing.T, st aria.Store) (a, b []byte) {
 		switch {
 		case a == nil:
 			a = k
-		case b == nil && sh.ShardFor(k) != sh.ShardFor(a):
+		case b == nil && (st.NumShards() == 1 || st.ShardFor(k) != st.ShardFor(a)):
 			b = k
 		}
 	}
@@ -63,14 +58,14 @@ func twoShardKeys(t *testing.T, st aria.Store) (a, b []byte) {
 	return a, b
 }
 
-func startGatedServer(t *testing.T, safe bool) (*gatedStore, *Client, *Client) {
+func startGatedServer(t *testing.T, shards int) (*gatedStore, *Client, *Client) {
 	t.Helper()
 	st, err := aria.Open(aria.Options{
 		Scheme:       aria.AriaHash,
 		EPCBytes:     16 << 20,
 		ExpectedKeys: 1024,
 		Seed:         7,
-		Shards:       4,
+		Shards:       shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,18 +74,10 @@ func startGatedServer(t *testing.T, safe bool) (*gatedStore, *Client, *Client) {
 	gs := &gatedStore{
 		Store:   st,
 		gate:    string(a),
+		other:   b,
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
-		safe:    safe,
 	}
-	gs.other = b
-	t.Cleanup(func() {
-		select {
-		case <-gs.release:
-		default:
-			close(gs.release)
-		}
-	})
 
 	srv := NewServer(gs)
 	srv.SetLogf(func(string, ...any) {})
@@ -100,6 +87,15 @@ func startGatedServer(t *testing.T, safe bool) (*gatedStore, *Client, *Client) {
 	}
 	go srv.Serve(lis) //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
+	// Cleanups run last-registered first: the gate opens before the
+	// server drains, so a failed test cannot leave a worker parked in it.
+	t.Cleanup(func() {
+		select {
+		case <-gs.release:
+		default:
+			close(gs.release)
+		}
+	})
 
 	dial := func() *Client {
 		cl, err := Dial(lis.Addr().String())
@@ -113,80 +109,152 @@ func startGatedServer(t *testing.T, safe bool) (*gatedStore, *Client, *Client) {
 }
 
 // TestConcurrentStoreRequestsOverlap is the acceptance check for the
-// removed global mutex: with a sharded (concurrency-safe) store, a
-// request to shard B completes while a request to shard A is still
-// blocked inside the store — impossible under the old one-lock server.
+// removed server lock: while one request is parked in the server on its
+// way into the store, a request on another connection completes — on a
+// one-shard store as on a sharded one. A server-wide lock around the
+// store would hold the second request until the first is released.
 func TestConcurrentStoreRequestsOverlap(t *testing.T) {
-	gs, cl1, cl2 := startGatedServer(t, true)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			gs, cl1, cl2 := startGatedServer(t, shards)
 
-	gateDone := make(chan error, 1)
-	go func() {
-		_, err := cl1.Get([]byte(gs.gate))
-		gateDone <- err
-	}()
-	select {
-	case <-gs.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gated request never reached the store")
-	}
+			gateDone := make(chan error, 1)
+			go func() {
+				_, err := cl1.Get([]byte(gs.gate))
+				gateDone <- err
+			}()
+			select {
+			case <-gs.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("gated request never reached the store")
+			}
 
-	// The gated request is parked inside the store. A request to a
-	// different shard must complete anyway.
-	otherDone := make(chan error, 1)
-	go func() {
-		_, err := cl2.Get(gs.other)
-		otherDone <- err
-	}()
-	select {
-	case err := <-otherDone:
-		if err != nil {
-			t.Fatalf("overlapping request failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request to a different shard did not overlap an in-flight request")
-	}
+			otherDone := make(chan error, 1)
+			go func() {
+				_, err := cl2.Get(gs.other)
+				otherDone <- err
+			}()
+			select {
+			case err := <-otherDone:
+				if err != nil {
+					t.Fatalf("overlapping request failed: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a second request did not overlap an in-flight request")
+			}
 
-	close(gs.release)
-	if err := <-gateDone; err != nil {
-		t.Fatalf("gated request failed after release: %v", err)
+			close(gs.release)
+			if err := <-gateDone; err != nil {
+				t.Fatalf("gated request failed after release: %v", err)
+			}
+		})
 	}
 }
 
-// TestPlainStoreRequestsSerialize is the control: the same store without
-// the ConcurrentSafe declaration keeps the old behaviour — the second
-// request waits for the first to leave the store.
-func TestPlainStoreRequestsSerialize(t *testing.T) {
-	gs, cl1, cl2 := startGatedServer(t, false)
+// TestOneShardDurableUnderConcurrentClients drives one Shards: 1
+// durable store from four clients — puts, gets and batched puts — while
+// a fifth connection checkpoints over the wire. With no server lock the
+// shard's own lock is all that orders them: no request may fail, the race
+// detector must stay quiet, and every acknowledged key must read back.
+func TestOneShardDurableUnderConcurrentClients(t *testing.T) {
+	st, err := aria.Open(aria.Options{
+		Scheme:       aria.AriaHash,
+		EPCBytes:     16 << 20,
+		ExpectedKeys: 4096,
+		Seed:         7,
+		DataDir:      t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv := startServerConfig(t, st, ServerConfig{})
+	addr := waitAddr(t, srv)
+	dial := func() *Client {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
 
-	gateDone := make(chan error, 1)
+	const clients, rounds = 4, 60
+	val := func(k string) []byte { return []byte("v-" + k) }
+	stop := make(chan struct{})
+	ckptDone := make(chan error, 1)
+	ckpt := dial()
 	go func() {
-		_, err := cl1.Get([]byte(gs.gate))
-		gateDone <- err
+		n := 0
+		for {
+			select {
+			case <-stop:
+				if n == 0 {
+					ckptDone <- errors.New("no checkpoint ran during the workload")
+					return
+				}
+				ckptDone <- nil
+				return
+			default:
+			}
+			if err := ckpt.Checkpoint(); err != nil {
+				ckptDone <- fmt.Errorf("checkpoint %d: %w", n, err)
+				return
+			}
+			n++
+			time.Sleep(2 * time.Millisecond)
+		}
 	}()
-	select {
-	case <-gs.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gated request never reached the store")
+
+	errc := make(chan error, clients)
+	acked := make([][]string, clients)
+	for c := 0; c < clients; c++ {
+		cl := dial()
+		go func(c int) {
+			for r := 0; r < rounds; r++ {
+				k := fmt.Sprintf("c%d-k%03d", c, r)
+				if err := cl.Put([]byte(k), val(k)); err != nil {
+					errc <- fmt.Errorf("put %s: %w", k, err)
+					return
+				}
+				acked[c] = append(acked[c], k)
+				if v, err := cl.Get([]byte(k)); err != nil || !bytes.Equal(v, val(k)) {
+					errc <- fmt.Errorf("get %s = %q, %v", k, v, err)
+					return
+				}
+				pairs := []aria.KV{
+					{Key: []byte(k + "-m0"), Value: val(k + "-m0")},
+					{Key: []byte(k + "-m1"), Value: val(k + "-m1")},
+				}
+				if errs := cl.MPut(pairs); errs != nil {
+					errc <- fmt.Errorf("mput %s: %v", k, errs)
+					return
+				}
+				acked[c] = append(acked[c], k+"-m0", k+"-m1")
+			}
+			errc <- nil
+		}(c)
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-ckptDone; err != nil {
+		t.Fatal(err)
 	}
 
-	otherDone := make(chan error, 1)
-	go func() {
-		_, err := cl2.Get(gs.other)
-		otherDone <- err
-	}()
-	select {
-	case err := <-otherDone:
-		t.Fatalf("serialized server let requests overlap (err=%v)", err)
-	case <-time.After(300 * time.Millisecond):
-		// Expected: the second request is queued on the global lock.
+	check := dial()
+	for _, keys := range acked {
+		for _, k := range keys {
+			if v, err := check.Get([]byte(k)); err != nil || !bytes.Equal(v, val(k)) {
+				t.Fatalf("acked key %s = %q, %v", k, v, err)
+			}
+		}
 	}
-
-	close(gs.release)
-	if err := <-gateDone; err != nil {
-		t.Fatalf("gated request failed after release: %v", err)
-	}
-	if err := <-otherDone; err != nil {
-		t.Fatalf("queued request failed after release: %v", err)
+	if got, want := st.Stats().Keys, clients*rounds*3; got != want {
+		t.Fatalf("store holds %d keys, want %d", got, want)
 	}
 }
 

@@ -36,6 +36,7 @@ type sentinelStore struct {
 func (s *sentinelStore) Get(key []byte) ([]byte, error) { return nil, s.err }
 func (s *sentinelStore) Put(key, value []byte) error    { return s.err }
 func (s *sentinelStore) Delete(key []byte) error        { return s.err }
+func (s *sentinelStore) ChargeEcall()                   {}
 
 func (s *sentinelStore) MGet(keys [][]byte) ([][]byte, []error) {
 	errs := make([]error, len(keys))
@@ -159,8 +160,7 @@ func TestCheckpointOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := st.(aria.Durable)
-	t.Cleanup(func() { d.Close() })
+	t.Cleanup(func() { st.Close() })
 	srv := NewServer(st)
 	srv.SetLogf(func(string, ...any) {})
 	lis := mustListen(t)

@@ -213,12 +213,11 @@ func TestIntegrityErrorOverWire(t *testing.T) {
 		}
 	}
 	// Corrupt the server's untrusted memory behind its back.
-	cor := st.(aria.Corrupter)
-	snap := cor.SnapshotUntrusted()
+	snap := st.SnapshotUntrusted()
 	for i := 0; i < 200; i++ {
 		_ = cl.Put([]byte(fmt.Sprintf("ik-%03d", i)), []byte("w"))
 	}
-	cor.RestoreUntrusted(snap)
+	st.RestoreUntrusted(snap)
 
 	sawIntegrity := false
 	for i := 0; i < 200 && !sawIntegrity; i++ {

@@ -22,9 +22,7 @@ import (
 
 // slowStore wraps a sharded ordered store, stalling Get on one chosen
 // key. Unlike gatedStore it stalls by duration, not handshake, so the
-// torture test can hit the slow key from many goroutines at once. Scan
-// is forwarded explicitly: interface embedding does not surface the
-// concrete store's Ranger implementation through aria.Store.
+// torture test can hit the slow key from many goroutines at once.
 type slowStore struct {
 	aria.Store
 	slow  []byte
@@ -38,19 +36,13 @@ func (s *slowStore) Get(key []byte) ([]byte, error) {
 	return s.Store.Get(key)
 }
 
-func (s *slowStore) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	return s.Store.(aria.Ranger).Scan(start, end, fn)
-}
-
-func (s *slowStore) ConcurrentSafe() bool { return true }
-
 // TestPipelinedFastOpsDuringSlowOp is the no-HOL acceptance check for
 // the multiplexed client: with ONE client (one connection), gets issued
 // while another get is parked inside the store still complete. Under
 // the version-1 lock-step client this deadlocks — the connection cannot
 // carry a second request until the first response arrives.
 func TestPipelinedFastOpsDuringSlowOp(t *testing.T) {
-	gs, cl, _ := startGatedServer(t, true)
+	gs, cl, _ := startGatedServer(t, 4)
 
 	gateDone := make(chan error, 1)
 	go func() {

@@ -58,7 +58,7 @@ func openStore(t *testing.T) aria.Store {
 // bigPairStore serves one near-wire-max pair without the enclave
 // simulator, to exercise the framing layer at its limits.
 type bigPairStore struct {
-	aria.Store // unimplemented surface (GetV, CAS, TTL, txn) panics if reached
+	aria.Store // unimplemented surface (GetV, CAS, TTL, txn, Checkpoint) panics if reached
 	key, value []byte
 }
 
@@ -98,6 +98,7 @@ func (s *bigPairStore) Stats() aria.Stats      { return aria.Stats{Keys: 1} }
 func (s *bigPairStore) VerifyIntegrity() error { return nil }
 func (s *bigPairStore) SetMeasuring(on bool)   {}
 func (s *bigPairStore) ResetStats()            {}
+func (s *bigPairStore) ChargeEcall()           {}
 func (s *bigPairStore) Scan(start, end []byte, fn func(k, v []byte) bool) error {
 	fn(s.key, s.value)
 	return nil

@@ -47,10 +47,10 @@ type ServerConfig struct {
 	// ConnWorkers is the per-connection worker-pool size: how many
 	// requests one connection executes concurrently (default 8). Tags
 	// beyond it queue in arrival order; the pool bounds goroutines per
-	// connection no matter how deep the client pipelines. On a store
-	// that is not ConcurrentSafe the workers still serialize on the
-	// store mutex — the pool then only overlaps wire decode with store
-	// work.
+	// connection no matter how deep the client pipelines. Workers on the
+	// same shard still serialize on that shard's lock — against a
+	// one-shard store the pool overlaps wire decode and response writes
+	// with store work, not store work with itself.
 	ConnWorkers int
 	// Metrics, when non-nil, instruments the server into the given
 	// registry: request counts and service-time histograms by operation,
@@ -104,24 +104,20 @@ func (c *ServerConfig) fillDefaults() {
 	}
 }
 
-// Server serves an aria.Store over TCP. Plain store engines are
-// single-threaded by design (they model one enclave thread, matching the
-// paper's single-threaded evaluation), so requests from all connections
-// are serialized through one mutex; concurrency buys connection handling,
-// not operation parallelism. Stores that declare themselves safe for
-// concurrent use — aria.ConcurrentStore with ConcurrentSafe() == true,
-// e.g. a store opened with Options.Shards > 1 — skip that global mutex
-// entirely: the store serializes internally (per shard), so requests
-// touching different shards execute concurrently on different cores.
+// Server serves an aria.Store over TCP. The server takes no lock of its
+// own around the store: every aria.Store is safe for concurrent use and
+// serializes internally, one lock per shard (each shard models one
+// enclave thread, matching the paper's single-threaded evaluation). So
+// requests on one shard run one at a time inside the store, and requests
+// touching different shards of a store opened with Options.Shards > 1
+// execute concurrently on different cores.
 //
 // A handler panic is confined to its connection: the client receives an
 // stError response and the connection closes, but the process and the
 // other connections keep serving.
 type Server struct {
-	store      aria.Store
-	cfg        ServerConfig
-	mu         sync.Mutex // serializes store access (one enclave thread)
-	concurrent bool       // store locks internally; skip s.mu
+	store aria.Store
+	cfg   ServerConfig
 
 	state     atomic.Int32
 	lisMu     sync.Mutex
@@ -152,9 +148,6 @@ func NewServerConfig(store aria.Store, cfg ServerConfig) *Server {
 		conns:   make(map[net.Conn]struct{}),
 		closing: make(chan struct{}),
 		logf:    log.Printf,
-	}
-	if cs, ok := store.(aria.ConcurrentStore); ok && cs.ConcurrentSafe() {
-		s.concurrent = true
 	}
 	if cfg.Metrics != nil {
 		s.met = newServerMetrics(cfg.Metrics)
@@ -701,13 +694,6 @@ func (s *Server) serveRecover(w tagWriter, rq request) (panicked bool) {
 // serve executes one request against the store and emits the response
 // frames on the request's tag.
 func (s *Server) serve(w tagWriter, rq request) error {
-	if !s.concurrent {
-		// One enclave thread: every request takes the global lock. A
-		// concurrency-safe store serializes internally instead, so two
-		// requests on different shards overlap here.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	// Role gating comes first: a fenced ex-primary must answer with its
 	// typed sentinel before any store access, and a replica rejects
 	// writes the same way.
@@ -726,9 +712,7 @@ func (s *Server) serve(w tagWriter, rq request) error {
 	if rq.op >= opMGet && rq.op <= opMDelete {
 		return s.serveBatch(w, rq)
 	}
-	if ec, ok := s.store.(aria.EdgeCaller); ok {
-		ec.ChargeEcall()
-	}
+	s.store.ChargeEcall()
 	switch rq.op {
 	case opGet:
 		// A watermarked read (GetAt) carries its watermark list in the
@@ -834,26 +818,18 @@ func (s *Server) serve(w tagWriter, rq request) error {
 		}
 		return w.send(encodeResponse(stOK, body))
 	case opCheckpoint:
-		d, ok := s.store.(aria.Durable)
-		if !ok {
-			return w.send(errResponse(aria.ErrNotDurable))
-		}
-		if err := d.Checkpoint(); err != nil {
+		if err := s.store.Checkpoint(); err != nil {
 			return w.send(errResponse(err))
 		}
 		return w.send(encodeResponse(stOK, nil))
 	case opScan:
-		r, ok := s.store.(aria.Ranger)
-		if !ok {
-			return w.send(errResponse(aria.ErrNoScan))
-		}
 		var end []byte
 		if len(rq.value) > 0 {
 			end = rq.value
 		}
 		limit := rq.limit
 		var streamErr error
-		err := r.Scan(rq.key, end, func(k, v []byte) bool {
+		err := s.store.Scan(rq.key, end, func(k, v []byte) bool {
 			if streamErr = w.send(encodeResponse(stMore, encodePair(k, v))); streamErr != nil {
 				return false
 			}
@@ -869,9 +845,8 @@ func (s *Server) serve(w tagWriter, rq request) error {
 			return streamErr
 		}
 		if err != nil {
-			// Sharded stores always expose the Ranger surface and report
-			// unsupported indexes via the sentinel instead; errResponse
-			// keeps the wire response identical to a store without Ranger.
+			// An unordered index answers ErrNoScan, which errResponse
+			// maps to its own status.
 			return w.send(errResponse(err))
 		}
 		return w.send(encodeResponse(stDone, nil))

@@ -167,13 +167,12 @@ func TestTxnCrossShardOverWire(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 
-	sh := st.(aria.Sharded)
 	// Find two keys on different shards.
 	a := []byte("alpha-000")
 	var b []byte
 	for i := 0; i < 64 && b == nil; i++ {
 		k := []byte{byte('b'), byte('0' + i%10), byte('0' + i/10)}
-		if sh.ShardFor(k) != sh.ShardFor(a) {
+		if st.ShardFor(k) != st.ShardFor(a) {
 			b = k
 		}
 	}

@@ -134,7 +134,7 @@ func TestMetricsRecorded(t *testing.T) {
 		}
 	}
 	scanned := 0
-	if err := st.(Ranger).Scan(nil, nil, func(k, v []byte) bool {
+	if err := st.Scan(nil, nil, func(k, v []byte) bool {
 		scanned++
 		return true
 	}); err != nil {
@@ -243,15 +243,14 @@ func TestMetricsScrapeRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c := st.(Corrupter)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			_ = c.UntrustedSize()
-			_ = c.SnapshotUntrusted()
+			_ = st.UntrustedSize()
+			_ = st.SnapshotUntrusted()
 		}
 	}()
 	time.Sleep(300 * time.Millisecond)

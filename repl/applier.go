@@ -36,7 +36,7 @@ func (n *Node) sleep(d time.Duration) {
 func (n *Node) applyLoop(shardIdx int) {
 	defer n.applierWG.Done()
 	for !n.stopped() {
-		applied := n.rep.WALShardNextSeq(shardIdx) - 1
+		applied := n.store.WALShardNextSeq(shardIdx) - 1
 		n.met.redial()
 		sub, err := kvnet.DialSubscribe(n.primaryAddr, uint32(shardIdx), applied, n.Generation(), true, n.cfg.DialTimeout)
 		if err != nil {
@@ -60,7 +60,7 @@ func (n *Node) applyLoop(shardIdx int) {
 // stop for good, false to redial.
 func (n *Node) applyStream(shardIdx int, sub *kvnet.Subscription) (done bool) {
 	v := wal.NewStreamVerifier(n.shardSealer(shardIdx))
-	applied := n.rep.WALShardNextSeq(shardIdx) - 1
+	applied := n.store.WALShardNextSeq(shardIdx) - 1
 	lastAcked := applied
 	ack := func() bool {
 		if err := sub.Ack(uint32(shardIdx), applied); err != nil {

@@ -84,7 +84,6 @@ func (c *Config) fillDefaults() {
 // stream through the normal write path.
 type Node struct {
 	store       aria.Store
-	rep         aria.Replicable
 	cfg         Config
 	dataDir     string
 	genSealer   *seal.Sealer
@@ -182,20 +181,17 @@ func newNode(opts aria.Options, cfg Config) *Node {
 	return n
 }
 
-// openReplicable opens the store and asserts it exposes WAL lineages.
+// openReplicable opens the store and checks it has WAL lineages.
 func (n *Node) openReplicable(opts aria.Options) error {
 	st, err := aria.Open(opts)
 	if err != nil {
 		return err
 	}
-	rep, ok := st.(aria.Replicable)
-	if !ok || rep.WALShards() == 0 {
-		if d, okd := st.(aria.Durable); okd {
-			d.Close()
-		}
+	if st.WALShards() == 0 {
+		st.Close()
 		return errors.New("repl: store is not replicable (open it with a DataDir)")
 	}
-	n.store, n.rep = st, rep
+	n.store = st
 	return nil
 }
 
@@ -235,7 +231,7 @@ func OpenPrimary(opts aria.Options, cfg Config) (*Node, error) {
 	if role == storedReplica {
 		n.met.promoted()
 	}
-	n.rep.SetCommitHook(n.commitWake)
+	n.store.SetCommitHook(n.commitWake)
 	return n, nil
 }
 
@@ -306,7 +302,9 @@ func roleByteFor(ok bool, stored byte) byte {
 // bootstrapSnapshots seeds every still-fresh shard lineage from the
 // primary's newest sealed snapshot, written verbatim — the replica's
 // own sealer verifies it during recovery. A primary without a snapshot
-// (or without WAL pruning) simply streams from sequence one.
+// whose WAL still starts at sequence one simply streams from there; one
+// that can offer neither (a cold-tier lineage, see SnapshotPath) fails
+// the open.
 func (n *Node) bootstrapSnapshots() error {
 	for i := 0; i < n.shards; i++ {
 		dir := lineageDir(n.dataDir, n.shards, i)
@@ -410,7 +408,7 @@ func (n *Node) AppliedSeq(shard uint32) uint64 {
 	if int(shard) >= n.shards {
 		return 0
 	}
-	return n.rep.WALShardNextSeq(int(shard)) - 1
+	return n.store.WALShardNextSeq(int(shard)) - 1
 }
 
 // Watermark implements kvnet.ReplBackend: the sequence number covering
@@ -480,14 +478,34 @@ func (n *Node) WaitCommitted(shard uint32, seq uint64) error {
 }
 
 // SnapshotPath implements kvnet.ReplBackend: the newest sealed
-// snapshot file for shard, or aria.ErrNotFound.
+// snapshot file for shard, or aria.ErrNotFound when the lineage has none
+// and its WAL still starts at seq 1. A lineage whose WAL was truncated
+// past its newest snapshot — a ColdCompress lineage checkpoints to
+// segment sets, which are not shipped — can seed no replica, and says so
+// instead of letting one stream a WAL that starts mid-history.
 func (n *Node) SnapshotPath(shard uint32) (string, uint64, error) {
 	if int(shard) >= n.shards {
 		return "", 0, fmt.Errorf("repl: unknown shard %d", shard)
 	}
-	snaps, err := wal.ListSnapshots(n.rep.WALShardDir(int(shard)))
+	dir := n.store.WALShardDir(int(shard))
+	// Segments before snapshots: a checkpoint publishes its snapshot
+	// before it truncates the WAL, so a truncation seen here has its
+	// snapshot in the listing below.
+	segs, err := wal.Segments(dir)
 	if err != nil {
 		return "", 0, err
+	}
+	snaps, err := wal.ListSnapshots(dir)
+	if err != nil {
+		return "", 0, err
+	}
+	from := uint64(1)
+	if len(snaps) > 0 {
+		from = snaps[0].Covered + 1
+	}
+	if len(segs) > 0 && segs[0].FirstSeq > from {
+		return "", 0, fmt.Errorf("repl: shard %d cannot seed a replica: its WAL starts at seq %d but its newest snapshot covers only seq %d; "+
+			"cold-tier (ColdCompress) checkpoints write segment sets, which replication does not ship", shard, segs[0].FirstSeq, from-1)
 	}
 	if len(snaps) == 0 {
 		return "", 0, fmt.Errorf("repl: no snapshot for shard %d: %w", shard, aria.ErrNotFound)
@@ -528,7 +546,7 @@ func (n *Node) Promote() error {
 	n.gen = gen
 	n.role = kvnet.RolePrimary
 	n.mu.Unlock()
-	n.rep.SetCommitHook(n.commitWake)
+	n.store.SetCommitHook(n.commitWake)
 	n.met.promoted()
 	n.logf("repl: promoted to primary at generation %d", gen)
 	return nil
@@ -570,11 +588,6 @@ func (n *Node) Close() error {
 	n.closeOnce.Do(func() { close(n.closeC) })
 	n.stopOnce.Do(func() { close(n.stopC) })
 	n.applierWG.Wait()
-	if n.rep != nil {
-		n.rep.SetCommitHook(nil)
-	}
-	if d, ok := n.store.(aria.Durable); ok {
-		return d.Close()
-	}
-	return nil
+	n.store.SetCommitHook(nil)
+	return n.store.Close()
 }

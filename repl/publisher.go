@@ -75,7 +75,7 @@ func (n *Node) Subscribe(shardIdx uint32, afterSeq, gen uint64, tail bool, acks 
 		return true
 	}
 
-	dir := n.rep.WALShardDir(int(shardIdx))
+	dir := n.store.WALShardDir(int(shardIdx))
 	cursor := afterSeq // highest seq the subscriber is known to hold
 	var reader *wal.SegmentReader
 	var segFirst uint64  // current segment's first seq
@@ -101,7 +101,7 @@ func (n *Node) Subscribe(shardIdx uint32, afterSeq, gen uint64, tail bool, acks 
 		}
 
 		if reader == nil {
-			next := n.rep.WALShardNextSeq(int(shardIdx))
+			next := n.store.WALShardNextSeq(int(shardIdx))
 			if cursor+1 >= next {
 				// Caught up with no open segment: finite catch-up is
 				// done; a tail stream heartbeats and parks.
@@ -178,11 +178,11 @@ func (n *Node) Subscribe(shardIdx uint32, afterSeq, gen uint64, tail bool, acks 
 				continue
 			}
 			// Live tail. Heartbeat when caught up, then wait for more.
-			if tail && cursor+1 >= n.rep.WALShardNextSeq(int(shardIdx)) {
+			if tail && cursor+1 >= n.store.WALShardNextSeq(int(shardIdx)) {
 				if err := emit(kvnet.ReplEvent{Kind: kvnet.EvHeartbeat, Seq: cursor + 1}); err != nil {
 					return err
 				}
-			} else if !tail && cursor+1 >= n.rep.WALShardNextSeq(int(shardIdx)) {
+			} else if !tail && cursor+1 >= n.store.WALShardNextSeq(int(shardIdx)) {
 				return nil
 			}
 			if !idle() {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -616,5 +617,70 @@ func TestReplicaRestartResumes(t *testing.T) {
 	})
 	if v, err := rc.Get([]byte("phase-1")); err != nil || string(v) != "v1" {
 		t.Fatalf("phase-1 after restart = %q, %v", v, err)
+	}
+}
+
+// TestColdPrimaryNeverSeedsAnEmptyReplica: a ColdCompress primary
+// checkpoints to segment sets and truncates its WAL, so after a few
+// checkpoints it has neither a raw snapshot to ship nor a WAL prefix to
+// stream from seq 1. A fresh replica must then refuse to open, naming the
+// cold tier, or report degraded health — never come up serving
+// ErrNotFound for keys the primary acknowledged.
+func TestColdPrimaryNeverSeedsAnEmptyReplica(t *testing.T) {
+	pDir, rDir := t.TempDir(), t.TempDir()
+	popts := testOpts(pDir, 1)
+	popts.ColdCompress = true
+	primary, err := repl.OpenPrimary(popts, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	pSrv, pAddr := serveNode(t, primary, "")
+	defer pSrv.Close()
+	pc := dial(t, pAddr)
+
+	var acked []string
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 30; i++ {
+			k := fmt.Sprintf("cold-%d-%02d", round, i)
+			if err := pc.Put([]byte(k), []byte("v-"+k)); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, k)
+		}
+		if err := pc.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ropts := testOpts(rDir, 1)
+	ropts.ColdCompress = true
+	replica, err := repl.OpenReplica(ropts, pAddr, fastCfg())
+	if err != nil {
+		if !strings.Contains(err.Error(), "cold") {
+			t.Fatalf("OpenReplica failed without naming the cold tier: %v", err)
+		}
+		return
+	}
+	defer replica.Close()
+	rSrv, rAddr := serveNode(t, replica, "")
+	defer rSrv.Close()
+	rc := dial(t, rAddr)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, k := range []string{acked[0], acked[len(acked)-1]} {
+		for {
+			st, err := rc.Stats()
+			if err == nil && st.Health() != aria.HealthOK {
+				return
+			}
+			v, err := rc.Get([]byte(k))
+			if err == nil && string(v) == "v-"+k {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica opened healthy but serves acked key %s as %q, %v", k, v, err)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
 }

@@ -1,37 +1,17 @@
 package aria
 
 // Replication support surface. A durable store exposes its sealed WAL
-// lineages to the repl package through Replicable: the publisher reads
-// segment files straight off each shard's directory (the sealed bytes
-// are the replication stream — see wal/stream.go), and a replica node
-// applies verified payloads back through the normal write path with
-// ApplyWALPayload so its own WAL re-seals the same operations under
-// the same sequence numbers.
+// lineages to the repl package through Store's WALShard* methods: the
+// publisher reads segment files straight off each shard's directory (the
+// sealed bytes are the replication stream — see wal/stream.go), and a
+// replica node applies verified payloads back through the normal write
+// path with ApplyWALPayload so its own WAL re-seals the same operations
+// under the same sequence numbers.
 
 import (
 	"errors"
 	"fmt"
 )
-
-// Replicable is implemented by every store Open returns; the durable
-// ones have sealed WAL lineages that can be shipped to replicas. A store
-// opened without DataDir reports zero WAL shards, signaling that it
-// cannot be replicated.
-type Replicable interface {
-	// WALShards returns the number of independent WAL lineages (one
-	// per shard; zero when the store is not durable).
-	WALShards() int
-	// WALShardDir returns the directory holding shard i's segment and
-	// snapshot files.
-	WALShardDir(i int) string
-	// WALShardNextSeq returns the next sequence number shard i's
-	// lineage will assign; every record below it is committed.
-	WALShardNextSeq(i int) uint64
-	// SetCommitHook installs fn to run after every committed WAL
-	// append on any shard. fn runs under a shard's write lock and must
-	// not block; pass nil to clear.
-	SetCommitHook(fn func())
-}
 
 // ApplyWALPayload applies one verified WAL record payload through st's
 // normal write path, so a replica's own WAL logs the identical

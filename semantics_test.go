@@ -333,10 +333,6 @@ func mustOpenPlain(t *testing.T, opts Options) Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if d, ok := st.(Durable); ok {
-			_ = d.Close()
-		}
-	})
+	t.Cleanup(func() { _ = st.Close() })
 	return st
 }

@@ -842,16 +842,23 @@ func (s *shard) Stats() Stats {
 	return st
 }
 
-// ChargeEcall implements EdgeCaller.
+// A lone shard is its own only shard: no router, no per-shard breakout.
+
+func (s *shard) NumShards() int { return 1 }
+
+func (s *shard) ShardFor([]byte) int { return 0 }
+
+func (s *shard) ShardStats(int) Stats { return s.Stats() }
+
 func (s *shard) ChargeEcall() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.enc.Ecall()
 }
 
-// The Corrupter surface reaches the enclave simulator's untrusted arena;
-// a durable shard's on-disk files are attacked through the filesystem
-// instead.
+// The untrusted-memory methods reach the enclave simulator's untrusted
+// arena; a durable shard's on-disk files are attacked through the
+// filesystem instead.
 
 // arena returns the bytes of untrusted memory the scheme keeps state in.
 // A scheme with no integrity failure to report (the baselines) keeps
@@ -954,7 +961,6 @@ func (s *shard) sweepOnce() {
 	s.ttlSweeps++
 }
 
-// Checkpoint implements Durable.
 func (s *shard) Checkpoint() error {
 	if s.dur == nil {
 		return ErrNotDurable
@@ -962,11 +968,10 @@ func (s *shard) Checkpoint() error {
 	return s.checkpoint()
 }
 
-// Close implements Durable: stop the background goroutine, wait for a
-// checkpoint run in flight to finish, then flush and close the WAL if
-// there is one. It returns the last background checkpoint failure, if
-// any, so operators see it even without metrics. Safe to call more than
-// once.
+// Close stops the background goroutine, waits for a checkpoint run in
+// flight to finish, then flushes and closes the WAL if there is one. It
+// returns the last background checkpoint failure, if any, so operators
+// see it even without metrics. Safe to call more than once.
 func (s *shard) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -13,31 +13,16 @@ import (
 	partition "github.com/ariakv/aria/internal/shard"
 )
 
-// ConcurrentStore is implemented by stores that are safe for concurrent
-// use from multiple goroutines because they serialize internally at a
-// finer grain than one global lock. Frontends (kvnet) use it as a
-// capability check: a store reporting ConcurrentSafe() == true may be
-// called from many request goroutines at once, while every other store
-// keeps the conservative one-lock path (the engines model a single
-// enclave thread and are not goroutine-safe on their own).
+// ConcurrentStore was a capability probe for stores safe for concurrent
+// use.
+//
+// Deprecated: every Store is safe for concurrent use, nothing in this
+// module implements ConcurrentSafe, and no frontend asks for it.
 type ConcurrentStore interface {
 	Store
-	// ConcurrentSafe reports whether the store may be called from
+	// ConcurrentSafe reported whether the store may be called from
 	// multiple goroutines concurrently.
 	ConcurrentSafe() bool
-}
-
-// Sharded is implemented by stores opened with Options.Shards > 1. It
-// exposes the partitioning for operations and monitoring: which shard a
-// key routes to, and per-shard statistics (the aggregate Stats() sums
-// counters and reports the slowest shard's clock).
-type Sharded interface {
-	// NumShards returns the shard count.
-	NumShards() int
-	// ShardFor returns the index of the shard serving key.
-	ShardFor(key []byte) int
-	// ShardStats returns shard i's individual snapshot.
-	ShardStats(i int) Stats
 }
 
 // openSharded builds Options.Shards independent shards, each with a
@@ -125,27 +110,23 @@ type shardedStore struct {
 
 func (s *shardedStore) pick(key []byte) *shard { return s.shards[s.router.Pick(key)] }
 
-func (s *shardedStore) ConcurrentSafe() bool { return true }
-
 func (s *shardedStore) NumShards() int { return len(s.shards) }
 
 func (s *shardedStore) ShardFor(key []byte) int { return s.router.Pick(key) }
 
 func (s *shardedStore) ShardStats(i int) Stats { return s.shards[i].Stats() }
 
-// WALShards implements Replicable: one lineage per shard when the
-// shards are durable, zero (not replicable) otherwise.
+// WALShards is one lineage per shard when the shards are durable, zero
+// (not replicable) otherwise.
 func (s *shardedStore) WALShards() int { return len(s.shards) * s.shards[0].WALShards() }
 
-// WALShardDir implements Replicable for shard i's lineage.
 func (s *shardedStore) WALShardDir(i int) string { return s.shards[i].WALShardDir(0) }
 
-// WALShardNextSeq implements Replicable for shard i's lineage (the
-// shard's own lock serializes against concurrent appends).
+// WALShardNextSeq reads shard i's lineage (the shard's own lock
+// serializes against concurrent appends).
 func (s *shardedStore) WALShardNextSeq(i int) uint64 { return s.shards[i].WALShardNextSeq(0) }
 
-// SetCommitHook implements Replicable, fanning the same hook out to
-// every shard's lineage.
+// SetCommitHook fans the same hook out to every shard's lineage.
 func (s *shardedStore) SetCommitHook(fn func()) {
 	for _, sh := range s.shards {
 		sh.SetCommitHook(fn)
@@ -522,16 +503,15 @@ func (s *shardedStore) ChargeEcall() {
 
 // ---- fault injection across shards ---------------------------------------------
 
-// The sharded store exposes the Corrupter surface as the concatenation of
-// its shards' untrusted arenas (shard 0 first), so attack demos and tests
-// target a byte of one specific shard's memory. Shards whose scheme keeps
+// The sharded store addresses untrusted memory as the concatenation of
+// its shards' arenas (shard 0 first), so attack demos and tests target a
+// byte of one specific shard's memory. Shards whose scheme keeps
 // everything in the EPC (baselines) contribute zero bytes. Every access
 // takes the shard's lock: the enclave simulator's arenas are plain
 // memory, so an unlocked read (even a size probe) races with concurrent
 // writers on other goroutines. An arena only grows, so an offset that a
 // size probe placed inside one stays inside it.
 
-// UntrustedSize implements Corrupter across shards.
 func (s *shardedStore) UntrustedSize() int {
 	total := 0
 	for _, sh := range s.shards {
@@ -540,8 +520,8 @@ func (s *shardedStore) UntrustedSize() int {
 	return total
 }
 
-// FlipUntrustedByte implements Corrupter across shards: the offset
-// addresses the concatenation of per-shard arenas.
+// FlipUntrustedByte's offset addresses the concatenation of per-shard
+// arenas.
 func (s *shardedStore) FlipUntrustedByte(offset int, mask byte) bool {
 	if offset < 0 {
 		return false
@@ -556,7 +536,6 @@ func (s *shardedStore) FlipUntrustedByte(offset int, mask byte) bool {
 	return false
 }
 
-// SnapshotUntrusted implements Corrupter across shards.
 func (s *shardedStore) SnapshotUntrusted() []byte {
 	var out []byte
 	for _, sh := range s.shards {
@@ -565,8 +544,8 @@ func (s *shardedStore) SnapshotUntrusted() []byte {
 	return out
 }
 
-// RestoreUntrusted implements Corrupter across shards, splitting the
-// snapshot back into per-shard arena prefixes.
+// RestoreUntrusted splits the snapshot back into per-shard arena
+// prefixes.
 func (s *shardedStore) RestoreUntrusted(snap []byte) {
 	for _, sh := range s.shards {
 		n := min(sh.UntrustedSize(), len(snap))

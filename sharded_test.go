@@ -48,24 +48,30 @@ func shardedOptions(shards int) Options {
 }
 
 func TestShardsOneIsPlainStore(t *testing.T) {
-	// Shards <= 1 is one enclave with no routing layer on top: not
-	// Sharded, not claiming concurrency safety (frontends keep their
-	// one-lock path), and — when durable — its lineage sits at the top of
-	// DataDir, with no manifest and no shard-0/ subdirectory.
+	// Shards <= 1 is one enclave with no routing layer on top: the shard
+	// itself, reporting one shard that serves every key, and — when
+	// durable — its lineage sits at the top of DataDir, with no manifest
+	// and no shard-0/ subdirectory.
 	for _, n := range []int{0, 1} {
 		opts := shardedOptions(n)
 		opts.DataDir = t.TempDir()
 		st := openShardedStore(t, opts)
-		if _, ok := st.(Sharded); ok {
-			t.Fatalf("Shards=%d produced a sharded store", n)
-		}
-		if cs, ok := st.(ConcurrentStore); ok && cs.ConcurrentSafe() {
-			t.Fatalf("Shards=%d store claims concurrency safety", n)
+		if _, ok := st.(*shard); !ok {
+			t.Fatalf("Shards=%d put %T on top of the shard", n, st)
 		}
 		if err := st.Put(shardKey(0), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.(Durable).Close(); err != nil {
+		if got := st.NumShards(); got != 1 {
+			t.Fatalf("Shards=%d: NumShards = %d, want 1", n, got)
+		}
+		if got := st.ShardFor(shardKey(0)); got != 0 {
+			t.Fatalf("Shards=%d: ShardFor = %d, want 0", n, got)
+		}
+		if got := st.ShardStats(0).Puts; got != st.Stats().Puts || got != 1 {
+			t.Fatalf("Shards=%d: ShardStats(0).Puts = %d, want Stats().Puts = 1", n, got)
+		}
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(opts.DataDir)
@@ -87,9 +93,8 @@ func TestShardsOneIsPlainStore(t *testing.T) {
 
 func TestShardedRoundTripAndRouting(t *testing.T) {
 	st := loadShardedStore(t, shardedOptions(4))
-	sh := st.(Sharded)
-	if sh.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", sh.NumShards())
+	if st.NumShards() != 4 {
+		t.Fatalf("NumShards = %d", st.NumShards())
 	}
 	used := make(map[int]int)
 	for i := 0; i < shardTestKeys; i++ {
@@ -98,7 +103,7 @@ func TestShardedRoundTripAndRouting(t *testing.T) {
 		if err != nil || string(v) != fmt.Sprintf("v-%d", i) {
 			t.Fatalf("get %s = %q, %v", k, v, err)
 		}
-		idx := sh.ShardFor(k)
+		idx := st.ShardFor(k)
 		if idx < 0 || idx >= 4 {
 			t.Fatalf("ShardFor out of range: %d", idx)
 		}
@@ -123,11 +128,10 @@ func TestShardedStatsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sh := st.(Sharded)
 	var sumGets, sumPuts, sumCycles, maxCycles uint64
 	var sumKeys int
-	for i := 0; i < sh.NumShards(); i++ {
-		ss := sh.ShardStats(i)
+	for i := 0; i < st.NumShards(); i++ {
+		ss := st.ShardStats(i)
 		sumGets += ss.Gets
 		sumPuts += ss.Puts
 		sumKeys += ss.Keys
@@ -160,31 +164,30 @@ func TestShardedStatsAggregation(t *testing.T) {
 }
 
 // findShardCorruption searches one shard's untrusted arena (via the
-// concatenated Corrupter address space) for a single-byte flip that
+// concatenated untrusted-memory address space) for a single-byte flip that
 // breaks at least one but only a few keys — the same scout technique as
 // the integrity-policy tests, aimed at exactly one shard.
 func findShardCorruption(t *testing.T, opts Options, victim int) int {
 	t.Helper()
 	st := loadShardedStore(t, opts)
-	cor, sh := st.(Corrupter), st.(Sharded)
 	// The shards are configured alike and the router spreads keys evenly,
 	// so shard i's arena starts near i/n of the concatenation. That only
 	// aims the search: a flip counts when every key it breaks routes to
 	// the victim, which is what proves whose memory it hit.
-	total := cor.UntrustedSize()
-	start := total / sh.NumShards() * victim
+	total := st.UntrustedSize()
+	start := total / st.NumShards() * victim
 	for off := start; off < total && off < start+65536; off += 61 {
-		cor.FlipUntrustedByte(off, 0xA5)
+		st.FlipUntrustedByte(off, 0xA5)
 		broken, elsewhere := 0, 0
 		for i := 0; i < shardTestKeys; i++ {
 			if _, err := st.Get(shardKey(i)); errors.Is(err, ErrIntegrity) {
 				broken++
-				if sh.ShardFor(shardKey(i)) != victim {
+				if st.ShardFor(shardKey(i)) != victim {
 					elsewhere++
 				}
 			}
 		}
-		cor.FlipUntrustedByte(off, 0xA5) // undo before deciding
+		st.FlipUntrustedByte(off, 0xA5) // undo before deciding
 		if broken >= 1 && broken <= 8 && elsewhere == 0 {
 			return off
 		}
@@ -205,9 +208,8 @@ func TestShardedQuarantineIsolation(t *testing.T) {
 	}
 
 	st := loadShardedStore(t, opts)
-	st.(Corrupter).FlipUntrustedByte(off, 0x01)
+	st.FlipUntrustedByte(off, 0x01)
 
-	sh := st.(Sharded)
 	broken := make(map[string]bool)
 	for i := 0; i < shardTestKeys; i++ {
 		k := shardKey(i)
@@ -216,7 +218,7 @@ func TestShardedQuarantineIsolation(t *testing.T) {
 		case err == nil:
 		case errors.Is(err, ErrIntegrity):
 			broken[string(k)] = true
-			if got := sh.ShardFor(k); got != victim {
+			if got := st.ShardFor(k); got != victim {
 				t.Fatalf("tampered shard %d broke key %s of shard %d", victim, k, got)
 			}
 		default:
@@ -243,8 +245,8 @@ func TestShardedQuarantineIsolation(t *testing.T) {
 	// serving every one of their keys; only the victim is degraded.
 	var sumQuarantined int
 	var sumFailures uint64
-	for i := 0; i < sh.NumShards(); i++ {
-		ss := sh.ShardStats(i)
+	for i := 0; i < st.NumShards(); i++ {
+		ss := st.ShardStats(i)
 		sumQuarantined += ss.QuarantinedKeys
 		sumFailures += ss.IntegrityFailures
 		if i == victim {
@@ -294,21 +296,20 @@ func TestShardedVerifyIntegrityAuditsAllShards(t *testing.T) {
 	// alike, so the last arena starts near (n-1)/n of the concatenated
 	// address space; that only aims the search — which shard's failure
 	// count moved is what proves whose memory a flip hit.
-	cor, sh := st.(Corrupter), st.(Sharded)
-	last := sh.NumShards() - 1
+	last := st.NumShards() - 1
 	failures := func() []uint64 {
-		out := make([]uint64, sh.NumShards())
+		out := make([]uint64, st.NumShards())
 		for i := range out {
-			out[i] = sh.ShardStats(i).IntegrityFailures
+			out[i] = st.ShardStats(i).IntegrityFailures
 		}
 		return out
 	}
-	total := cor.UntrustedSize()
-	start := total / sh.NumShards() * last
+	total := st.UntrustedSize()
+	start := total / st.NumShards() * last
 	tampered := false
 	for off := start; off < total && off < start+65536 && !tampered; off += 127 {
 		before := failures()
-		cor.FlipUntrustedByte(off, 0xFF)
+		st.FlipUntrustedByte(off, 0xFF)
 		err := st.VerifyIntegrity()
 		after := failures()
 		tampered = errors.Is(err, ErrIntegrity) && after[last] > before[last]
@@ -316,7 +317,7 @@ func TestShardedVerifyIntegrityAuditsAllShards(t *testing.T) {
 			tampered = tampered && after[i] == before[i]
 		}
 		if !tampered {
-			cor.FlipUntrustedByte(off, 0xFF) // undo and keep looking
+			st.FlipUntrustedByte(off, 0xFF) // undo and keep looking
 		}
 	}
 	if !tampered {
@@ -384,11 +385,10 @@ func loadScanStore(t *testing.T, shards int) Store {
 
 func TestShardedScanGlobalOrder(t *testing.T) {
 	st := loadScanStore(t, 4)
-	r := st.(Ranger)
 	var got []string
 	prev := ""
 	seen := make(map[string]bool)
-	err := r.Scan(nil, nil, func(k, v []byte) bool {
+	err := st.Scan(nil, nil, func(k, v []byte) bool {
 		ks := string(k)
 		if seen[ks] {
 			t.Fatalf("duplicate key %q delivered", ks)
@@ -416,10 +416,9 @@ func TestShardedScanGlobalOrder(t *testing.T) {
 
 func TestShardedScanRangeAndEarlyStop(t *testing.T) {
 	st := loadScanStore(t, 4)
-	r := st.(Ranger)
 	// Bounded range: [100, 160).
 	var got []string
-	if err := r.Scan(scanKey(100), scanKey(160), func(k, v []byte) bool {
+	if err := st.Scan(scanKey(100), scanKey(160), func(k, v []byte) bool {
 		got = append(got, string(k))
 		return true
 	}); err != nil {
@@ -430,7 +429,7 @@ func TestShardedScanRangeAndEarlyStop(t *testing.T) {
 	}
 	// Early stop: the callback's false return ends the merge cleanly.
 	n := 0
-	if err := r.Scan(nil, nil, func(k, v []byte) bool {
+	if err := st.Scan(nil, nil, func(k, v []byte) bool {
 		n++
 		return n < 37
 	}); err != nil {
@@ -443,8 +442,7 @@ func TestShardedScanRangeAndEarlyStop(t *testing.T) {
 
 func TestShardedScanValuesIntact(t *testing.T) {
 	st := loadScanStore(t, 2)
-	r := st.(Ranger)
-	if err := r.Scan(nil, nil, func(k, v []byte) bool {
+	if err := st.Scan(nil, nil, func(k, v []byte) bool {
 		var i int
 		if _, err := fmt.Sscanf(string(k), "sck-%06d", &i); err != nil {
 			t.Fatalf("unparseable key %q", k)
@@ -465,11 +463,7 @@ func TestShardedScanUnsupportedSchemes(t *testing.T) {
 		st := openShardedStore(t, Options{
 			Scheme: scheme, EPCBytes: 16 << 20, ExpectedKeys: 64, Shards: 2,
 		})
-		r, ok := st.(Ranger)
-		if !ok {
-			t.Fatalf("%v: sharded store lost the Ranger surface", scheme)
-		}
-		if err := r.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrNoScan) {
+		if err := st.Scan(nil, nil, func(k, v []byte) bool { return true }); !errors.Is(err, ErrNoScan) {
 			t.Errorf("%v: scan error = %v, want ErrNoScan", scheme, err)
 		}
 	}
@@ -477,17 +471,15 @@ func TestShardedScanUnsupportedSchemes(t *testing.T) {
 
 func TestShardedEcallChargesSpread(t *testing.T) {
 	st := openShardedStore(t, shardedOptions(4))
-	ec := st.(EdgeCaller)
 	for i := 0; i < 40; i++ {
-		ec.ChargeEcall()
+		st.ChargeEcall()
 	}
 	agg := st.Stats()
 	if agg.Ecalls < 40 {
 		t.Errorf("aggregate Ecalls = %d, want >= 40", agg.Ecalls)
 	}
-	sh := st.(Sharded)
 	for i := 0; i < 4; i++ {
-		if got := sh.ShardStats(i).Ecalls; got < 10 {
+		if got := st.ShardStats(i).Ecalls; got < 10 {
 			t.Errorf("shard %d received %d of 40 round-robin charges", i, got)
 		}
 	}

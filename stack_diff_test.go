@@ -95,7 +95,7 @@ type diffRun struct {
 	oracle map[string]*diffEnt
 	// ghost holds keys dropped for expiry and not written since. A range
 	// scan may still show them until something reaps them (documented on
-	// Ranger) — and see unchecked.
+	// shard.Scan) — and see unchecked.
 	ghost map[string]bool
 	hi    map[int]uint64 // highest version observed per shard
 
@@ -141,14 +141,11 @@ func (r *diffRun) open() {
 }
 
 func (r *diffRun) close() error {
-	return r.st.(Durable).Close()
+	return r.st.Close()
 }
 
 func (r *diffRun) shardOf(key string) int {
-	if sh, ok := r.st.(Sharded); ok {
-		return sh.ShardFor([]byte(key))
-	}
-	return 0
+	return r.st.ShardFor([]byte(key))
 }
 
 // live returns key's oracle entry, dropping it first if its deadline
@@ -392,7 +389,7 @@ func (r *diffRun) step() {
 	case p < 89:
 		r.scan()
 	case p < 93:
-		err := st.(Durable).Checkpoint()
+		err := st.Checkpoint()
 		if r.arm.mode == "mem" {
 			r.expect("Checkpoint", err, "notdurable")
 		} else {
@@ -516,7 +513,7 @@ func (r *diffRun) txn() {
 // scheme, and the typed refusal everywhere else.
 func (r *diffRun) scan() {
 	var got []string
-	err := r.st.(Ranger).Scan(nil, nil, func(k, v []byte) bool {
+	err := r.st.Scan(nil, nil, func(k, v []byte) bool {
 		got = append(got, string(k)+"="+string(v))
 		return true
 	})
@@ -626,7 +623,7 @@ func runStackDiff(t *testing.T, arm diffArm) {
 				default:
 				}
 				// The store it loaded may be the one a reopen just closed.
-				if err := (*r.cur.Load()).(Durable).Checkpoint(); err != nil && !strings.Contains(err.Error(), "closed store") {
+				if err := (*r.cur.Load()).Checkpoint(); err != nil && !strings.Contains(err.Error(), "closed store") {
 					t.Errorf("background Checkpoint: %v", err)
 					return
 				}

@@ -77,9 +77,18 @@ func parseSnapName(name string, covered *uint64) bool {
 	return true
 }
 
-// Snapshots lists the snapshot files in dir, newest (highest covered
-// sequence) first.
-func Snapshots(dir string) ([]string, error) {
+// SnapshotInfo describes one snapshot file: its path and the sequence
+// number it covers (encoded in the file name).
+type SnapshotInfo struct {
+	// Path is the snapshot file's path.
+	Path string
+	// Covered is the highest WAL sequence number the snapshot covers.
+	Covered uint64
+}
+
+// ListSnapshots lists dir's snapshot files, newest (highest covered
+// sequence) first. A missing directory lists as empty, not as an error.
+func ListSnapshots(dir string) ([]SnapshotInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -87,23 +96,15 @@ func Snapshots(dir string) ([]string, error) {
 		}
 		return nil, fmt.Errorf("wal: read dir: %w", err)
 	}
-	type snap struct {
-		path    string
-		covered uint64
-	}
-	var snaps []snap
+	var snaps []SnapshotInfo
 	for _, e := range entries {
 		var covered uint64
 		if e.Type().IsRegular() && parseSnapName(e.Name(), &covered) {
-			snaps = append(snaps, snap{filepath.Join(dir, e.Name()), covered})
+			snaps = append(snaps, SnapshotInfo{Path: filepath.Join(dir, e.Name()), Covered: covered})
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].covered > snaps[j].covered })
-	paths := make([]string, len(snaps))
-	for i, s := range snaps {
-		paths[i] = s.path
-	}
-	return paths, nil
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Covered > snaps[j].Covered })
+	return snaps, nil
 }
 
 // snapSalt is the keystream domain of one snapshot file: the snapshot

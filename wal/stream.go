@@ -52,36 +52,6 @@ func Segments(dir string) ([]SegmentInfo, error) {
 	return segs, nil
 }
 
-// SnapshotInfo describes one snapshot file: its path and the sequence
-// number it covers (encoded in the file name).
-type SnapshotInfo struct {
-	// Path is the snapshot file's path.
-	Path string
-	// Covered is the highest WAL sequence number the snapshot covers.
-	Covered uint64
-}
-
-// ListSnapshots lists dir's snapshot files, newest (highest covered
-// sequence) first. A missing directory lists as empty, not as an error.
-func ListSnapshots(dir string) ([]SnapshotInfo, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: read dir: %w", err)
-	}
-	var snaps []SnapshotInfo
-	for _, e := range entries {
-		var covered uint64
-		if e.Type().IsRegular() && parseSnapName(e.Name(), &covered) {
-			snaps = append(snaps, SnapshotInfo{Path: filepath.Join(dir, e.Name()), Covered: covered})
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Covered > snaps[j].Covered })
-	return snaps, nil
-}
-
 // SegmentReader incrementally reads framed sealed records off one
 // segment file without unsealing them — the publisher's view of a
 // segment it is streaming to subscribers. Next tolerates an incomplete

@@ -396,11 +396,11 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	if _, err := WriteSnapshot(dir, s, 25, pairs[:1]); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := Snapshots(dir)
+	snaps, err := ListSnapshots(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 2 || filepath.Base(snaps[0]) != SnapshotName(25) {
+	if len(snaps) != 2 || filepath.Base(snaps[0].Path) != SnapshotName(25) || snaps[0].Covered != 25 || snaps[1].Covered != 10 {
 		t.Fatalf("snapshots = %v, want newest-first with %s first", snaps, SnapshotName(25))
 	}
 	covered, got, err := ReadSnapshot(filepath.Join(dir, SnapshotName(10)), s)
@@ -418,8 +418,8 @@ func TestSnapshotRoundTripAndPrune(t *testing.T) {
 	if err := PruneSnapshots(dir, 25); err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ = Snapshots(dir)
-	if len(snaps) != 1 || filepath.Base(snaps[0]) != SnapshotName(25) {
+	snaps, _ = ListSnapshots(dir)
+	if len(snaps) != 1 || filepath.Base(snaps[0].Path) != SnapshotName(25) {
 		t.Fatalf("after prune: %v, want only %s", snaps, SnapshotName(25))
 	}
 }
