@@ -5,7 +5,7 @@ package aria
 // PutTTL under an injected clock/MGet/MPut/MDelete/single- and
 // cross-shard TxnCommit/Scan/Checkpoint/Close+re-Open/VerifyIntegrity —
 // runs against every combination of {1, 4} shards × {memory, DataDir,
-// DataDir+ColdCompress} × {Metrics nil, set} × four schemes, and every
+// DataDir+ColdCompress} × {Metrics nil, set} × five schemes, and every
 // op is checked against a plain-map oracle: value, error class, expiry
 // and version monotonicity.
 //
@@ -553,7 +553,7 @@ func (r *diffRun) verifyAll() {
 }
 
 func TestStackDifferential(t *testing.T) {
-	for _, scheme := range []Scheme{AriaHash, AriaBPTree, ShieldStoreScheme, BaselineHash} {
+	for _, scheme := range []Scheme{AriaHash, AriaTree, AriaBPTree, ShieldStoreScheme, BaselineHash} {
 		for _, mode := range []string{"mem", "wal", "cold"} {
 			for _, shards := range []int{1, 4} {
 				for _, metrics := range []bool{false, true} {
@@ -653,8 +653,10 @@ func runStackDiff(t *testing.T, arm diffArm) {
 }
 
 // stackDiffGolden holds each arm's {outcome, cost} fingerprints,
-// recorded on commit d29f68d (the decorator stack). Cost is 0 where it
-// is not pinned (see the file comment).
+// recorded on commit d29f68d (the decorator stack); the aria-t rows were
+// recorded later, on the last commit before the B-tree node arena and
+// the chained CMAC. Cost is 0 where it is not pinned (see the file
+// comment).
 var stackDiffGolden = map[string][2]uint64{
 	"aria-bp/cold/shards1/metrics":       {0x8734e9512f3eb7ea, 0x0},
 	"aria-bp/cold/shards1/nometrics":     {0x8734e9512f3eb7ea, 0x0},
@@ -680,6 +682,18 @@ var stackDiffGolden = map[string][2]uint64{
 	"aria-h/wal/shards1/nometrics":       {0x307db71fc4e3e159, 0x78c0a7df00da61d4},
 	"aria-h/wal/shards4/metrics":         {0x10ec781d5fcff22e, 0xbcaa87123fa47b70},
 	"aria-h/wal/shards4/nometrics":       {0x10ec781d5fcff22e, 0xbcaa87123fa47b70},
+	"aria-t/cold/shards1/metrics":        {0x307db71fc4e3e159, 0x0},
+	"aria-t/cold/shards1/nometrics":      {0x307db71fc4e3e159, 0x0},
+	"aria-t/cold/shards4/metrics":        {0xc8ea5fba720edcb1, 0x0},
+	"aria-t/cold/shards4/nometrics":      {0xc8ea5fba720edcb1, 0x0},
+	"aria-t/mem/shards1/metrics":         {0x331890502fd4955e, 0x72169e9fd1205cff},
+	"aria-t/mem/shards1/nometrics":       {0x331890502fd4955e, 0x72169e9fd1205cff},
+	"aria-t/mem/shards4/metrics":         {0x54c570c7d4b485ad, 0xbeafeb869222dbea},
+	"aria-t/mem/shards4/nometrics":       {0x54c570c7d4b485ad, 0xbeafeb869222dbea},
+	"aria-t/wal/shards1/metrics":         {0x307db71fc4e3e159, 0x10fe287d816e01d5},
+	"aria-t/wal/shards1/nometrics":       {0x307db71fc4e3e159, 0x10fe287d816e01d5},
+	"aria-t/wal/shards4/metrics":         {0x10ec781d5fcff22e, 0xb9842da5960ae38f},
+	"aria-t/wal/shards4/nometrics":       {0x10ec781d5fcff22e, 0xb9842da5960ae38f},
 	"baseline-h/cold/shards1/metrics":    {0x307db71fc4e3e159, 0x0},
 	"baseline-h/cold/shards1/nometrics":  {0x307db71fc4e3e159, 0x0},
 	"baseline-h/cold/shards4/metrics":    {0xc8ea5fba720edcb1, 0x0},
