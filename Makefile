@@ -42,7 +42,8 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Explore the wire-format and WAL-record decoders beyond the seeded corpus.
+# Explore the wire-format, WAL-record, compression and segment decoders,
+# and the chained CMAC against Cipher.MAC, beyond the seeded corpora.
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./kvnet
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) ./kvnet
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./wal
 	$(GO) test -fuzz=FuzzDictDecompress -fuzztime=$(FUZZTIME) ./internal/compress
 	$(GO) test -fuzz=FuzzSegmentRecover -fuzztime=$(FUZZTIME) ./internal/segment
+	$(GO) test -fuzz=FuzzMACer -fuzztime=$(FUZZTIME) ./internal/seccrypto
 
 # CI's PR-path fuzzing pass: every fuzzer above, briefly. The seeded
 # corpora under testdata/ run on every plain `go test` regardless; the

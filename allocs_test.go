@@ -8,24 +8,30 @@ import (
 )
 
 // TestOpPathAllocs pins the heap allocations of one Get and one Put
-// (aria-h, overwriting a resident key) at each depth of the op path:
-// nothing on the path — the op value, the stage helpers, the instruments
-// — may escape to the heap per operation. Most of each number is the
-// engine's (sealing buffers, the returned copy); the path's own share is
-// the key string of each row it writes and, when durable, the WAL
-// record. The decorator stack this path replaced measured Get 5 / Put 9
-// in memory at either depth, Put 20 durable, Get 6 / Put 21 with
-// ColdCompress; a budget never rises above those.
+// (overwriting a resident key) at each depth of the op path: nothing on
+// the path — the op value, the stage helpers, the instruments — may
+// escape to the heap per operation. Most of each number is the engine's:
+// one CTR stream per entry or tree node decrypted or sealed, and the
+// returned copy. The path's own share is the key string of each row it
+// writes and, when durable, the WAL record. The decorator stack this path
+// replaced measured aria-h Get 5 / Put 9 in memory, Put 20 durable, Get 6
+// / Put 21 with ColdCompress; the reusable CMAC took two allocations off
+// each engine op. The tree rows run on 256 keys: aria-t Get stops
+// at the level holding the key, aria-bp Get always reaches a leaf, and
+// each costs at most one CTR stream per level plus the copy (they made
+// 19 / 23 and 27 / 29 before tree nodes were recycled).
 func TestOpPathAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		opts     func(o *Options)
 		get, put float64
 	}{
-		{"memory", func(o *Options) {}, 5, 9},
-		{"memory+shards+metrics", func(o *Options) { o.Shards, o.Metrics = 2, obs.NewRegistry() }, 5, 9},
-		{"durable", func(o *Options) { o.DataDir = t.TempDir() }, 5, 19},
-		{"durable+cold", func(o *Options) { o.DataDir, o.ColdCompress = t.TempDir(), true }, 5, 19},
+		{"memory", func(o *Options) {}, 3, 5},
+		{"memory+shards+metrics", func(o *Options) { o.Shards, o.Metrics = 2, obs.NewRegistry() }, 3, 5},
+		{"durable", func(o *Options) { o.DataDir = t.TempDir() }, 3, 14},
+		{"durable+cold", func(o *Options) { o.DataDir, o.ColdCompress = t.TempDir(), true }, 3, 14},
+		{"aria-t", func(o *Options) { o.Scheme = AriaTree }, 3, 4},
+		{"aria-bp", func(o *Options) { o.Scheme = AriaBPTree }, 4, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Scheme: AriaHash, EPCBytes: 16 << 20, ExpectedKeys: 1024, Seed: 5, Fsync: FsyncNever}

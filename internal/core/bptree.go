@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"github.com/ariakv/aria/internal/redir"
-	"github.com/ariakv/aria/internal/seccrypto"
 	"github.com/ariakv/aria/internal/sgx"
 )
 
@@ -27,224 +25,94 @@ import (
 // interior nodes sidesteps the whole class of chain-splicing attacks and
 // repair bookkeeping at a modest logarithmic cost.
 //
-// Block layout is identical to Aria-T nodes (tnOff* constants); only the
-// payload differs:
+// Node blocks use the shared tree layout (node.go); only the payload
+// differs from Aria-T's:
 //
 //	leaf:     flags(1)=1 nkeys(2) { klen(2) vlen(2) key value }*
 //	interior: flags(1)=0 nkeys(2) { klen(2) key }*  children (nkeys+1)*8
 type bptreeIndex struct {
-	e      *Engine
+	nodes  nodeStore
 	t      int // minimum degree: leaves hold t-1..2t-1 pairs
 	root   sgx.UPtr
 	height int
 	live   int
 }
 
-type bpnode struct {
-	block    sgx.UPtr
-	redptr   redir.RedPtr
-	leaf     bool
-	keys     [][]byte
-	vals     [][]byte // leaves only
-	children []sgx.UPtr
-	// dirtyShape marks sibling borrow/merge changes that require reseal.
-	dirtyShape bool
-}
-
 func newBPTreeIndex(e *Engine) (*bptreeIndex, error) {
-	return &bptreeIndex{e: e, t: e.opts.BTreeDegree}, nil
+	return &bptreeIndex{nodes: nodeStore{e: e, what: "b+tree"}, t: e.opts.BTreeDegree}, nil
 }
 
 func (bp *bptreeIndex) maxKeys() int { return 2*bp.t - 1 }
 
-// maxBPNodeSize bounds the sealed size of any legal B+-tree node.
-func (e *Engine) maxBPNodeSize() int {
-	t := e.opts.BTreeDegree
-	if t <= 1 {
-		t = 8
-	}
-	maxKeys := 2*t - 1
-	pay := 3 + maxKeys*(4+e.opts.MaxKeySize+e.opts.MaxValueSize) + (maxKeys+1)*8
-	return tnOverhead + pay
-}
-
-// openBPNode verifies and decrypts the node at block.
-func (bp *bptreeIndex) openBPNode(block sgx.UPtr) (*bpnode, error) {
-	e := bp.e
-	if !e.enc.UValid(block, tnOverhead) {
-		return nil, fmt.Errorf("%w: node pointer %#x out of range", ErrIntegrity, block)
-	}
-	hdr := e.enc.UBytes(block, tnOffPay)
-	paylen := int(binary.LittleEndian.Uint32(hdr[tnOffPayLen:]))
-	if paylen <= 0 || tnOverhead+paylen > e.scratchN/2 {
-		return nil, fmt.Errorf("%w: node at %#x has implausible payload length %d", ErrIntegrity, block, paylen)
-	}
-	total := tnOverhead + paylen
-	if !e.enc.UValid(block, total) {
-		return nil, fmt.Errorf("%w: node at %#x extends past the arena", ErrIntegrity, block)
-	}
-	e.enc.CopyIn(e.scratch, block, total)
-	buf := e.enc.EBytesRaw(e.scratch, total)
-	rp := redir.RedPtr(binary.LittleEndian.Uint64(buf[tnOffRedPtr:]))
-	ctr, err := e.ctrs.CounterGet(rp)
+// openBPNode verifies, decrypts and decodes the node at block.
+func (bp *bptreeIndex) openBPNode(block sgx.UPtr) (*tnode, error) {
+	n, err := bp.nodes.open(block)
 	if err != nil {
 		return nil, err
 	}
-	var ad [8]byte
-	binary.LittleEndian.PutUint64(ad[:], uint64(block))
-	macOff := tnOffPay + paylen
-	e.enc.ChargeMAC(macOff + 8 + 16)
-	if !e.cip.VerifyMAC(buf[macOff:macOff+seccrypto.MACSize], buf[:macOff], ad[:], ctr[:]) {
-		return nil, fmt.Errorf("%w: b+tree node at %#x (tampered, replayed, or relocated)", ErrIntegrity, block)
-	}
-	e.enc.ChargeCTR(paylen)
-	e.cip.CTRCrypt(&ctr, buf[tnOffPay:macOff], buf[tnOffPay:macOff])
-
-	pay := make([]byte, paylen)
-	copy(pay, buf[tnOffPay:macOff])
-	n := &bpnode{block: block, redptr: rp, leaf: pay[0]&1 != 0}
-	nkeys := int(binary.LittleEndian.Uint16(pay[1:]))
-	off := 3
-	bad := func() (*bpnode, error) {
-		return nil, fmt.Errorf("%w: node at %#x truncated", ErrIntegrity, block)
-	}
+	nkeys := n.nkeys()
+	var off int
 	if n.leaf {
-		n.keys = make([][]byte, nkeys)
-		n.vals = make([][]byte, nkeys)
-		for i := 0; i < nkeys; i++ {
-			if off+4 > paylen {
-				return bad()
-			}
-			kl := int(binary.LittleEndian.Uint16(pay[off:]))
-			vl := int(binary.LittleEndian.Uint16(pay[off+2:]))
-			off += 4
-			if off+kl+vl > paylen {
-				return bad()
-			}
-			n.keys[i] = pay[off : off+kl]
-			n.vals[i] = pay[off+kl : off+kl+vl]
-			off += kl + vl
-		}
-		return n, nil
+		off = n.decodePairs(3, nkeys)
+	} else if off = n.decodeRouters(3, nkeys); off >= 0 {
+		off = n.decodeChildren(off, nkeys+1)
 	}
-	n.keys = make([][]byte, nkeys)
-	for i := 0; i < nkeys; i++ {
-		if off+2 > paylen {
-			return bad()
-		}
-		kl := int(binary.LittleEndian.Uint16(pay[off:]))
-		off += 2
-		if off+kl > paylen {
-			return bad()
-		}
-		n.keys[i] = pay[off : off+kl]
-		off += kl
-	}
-	n.children = make([]sgx.UPtr, nkeys+1)
-	for i := range n.children {
-		if off+8 > paylen {
-			return bad()
-		}
-		n.children[i] = sgx.UPtr(binary.LittleEndian.Uint64(pay[off:]))
-		off += 8
+	if off < 0 {
+		return nil, truncated(block)
 	}
 	return n, nil
 }
 
 // sealBPNode encodes, encrypts, MACs, and writes n, relocating if needed.
-func (bp *bptreeIndex) sealBPNode(n *bpnode) (sgx.UPtr, error) {
-	e := bp.e
+func (bp *bptreeIndex) sealBPNode(n *tnode) (sgx.UPtr, error) {
 	paylen := 3
 	if n.leaf {
-		for i := range n.keys {
-			paylen += 4 + len(n.keys[i]) + len(n.vals[i])
-		}
+		paylen += n.pairsLen()
 	} else {
-		for i := range n.keys {
-			paylen += 2 + len(n.keys[i])
+		for _, k := range n.keys {
+			paylen += 2 + len(k)
 		}
 		paylen += len(n.children) * 8
 	}
-	total := tnOverhead + paylen
-
-	if n.block == sgx.NilU {
-		rp, err := e.ctrs.Fetch()
-		if err != nil {
-			return sgx.NilU, err
-		}
-		n.redptr = rp
-		b, err := e.heap.Alloc(total)
-		if err != nil {
-			return sgx.NilU, err
-		}
-		n.block = b
-	} else if e.heap.BlockSize(n.block) < total {
-		if err := e.heap.Free(n.block); err != nil {
-			return sgx.NilU, err
-		}
-		b, err := e.heap.Alloc(total)
-		if err != nil {
-			return sgx.NilU, err
-		}
-		n.block = b
-	}
-
-	ctr, err := e.ctrs.CounterBump(n.redptr)
+	pay, err := bp.nodes.sealStart(n, paylen)
 	if err != nil {
 		return sgx.NilU, err
 	}
-	half := e.scratchN / 2
-	buf := e.enc.EBytesRaw(e.scratch+sgx.EPtr(half), total)
-	e.enc.ETouch(e.scratch+sgx.EPtr(half), total)
-	binary.LittleEndian.PutUint64(buf[tnOffRedPtr:], uint64(n.redptr))
-	binary.LittleEndian.PutUint32(buf[tnOffPayLen:], uint32(paylen))
-	pay := buf[tnOffPay : tnOffPay+paylen]
 	if n.leaf {
-		pay[0] = 1
+		n.encodePairs(pay, 3)
 	} else {
-		pay[0] = 0
+		n.encodeChildren(pay, n.encodeRouters(pay, 3))
 	}
-	binary.LittleEndian.PutUint16(pay[1:], uint16(len(n.keys)))
-	off := 3
-	if n.leaf {
-		for i := range n.keys {
-			binary.LittleEndian.PutUint16(pay[off:], uint16(len(n.keys[i])))
-			binary.LittleEndian.PutUint16(pay[off+2:], uint16(len(n.vals[i])))
-			off += 4
-			copy(pay[off:], n.keys[i])
-			copy(pay[off+len(n.keys[i]):], n.vals[i])
-			off += len(n.keys[i]) + len(n.vals[i])
-		}
-	} else {
-		for i := range n.keys {
-			binary.LittleEndian.PutUint16(pay[off:], uint16(len(n.keys[i])))
-			off += 2
-			copy(pay[off:], n.keys[i])
-			off += len(n.keys[i])
-		}
-		for _, c := range n.children {
-			binary.LittleEndian.PutUint64(pay[off:], uint64(c))
-			off += 8
-		}
-	}
-	e.enc.ChargeCTR(paylen)
-	e.cip.CTRCrypt(&ctr, pay, pay)
-	var ad [8]byte
-	binary.LittleEndian.PutUint64(ad[:], uint64(n.block))
-	macOff := tnOffPay + paylen
-	var mac [16]byte
-	e.enc.ChargeMAC(macOff + 8 + 16)
-	e.cip.MAC(&mac, buf[:macOff], ad[:], ctr[:])
-	copy(buf[macOff:], mac[:])
-	e.enc.CopyOut(n.block, e.scratch+sgx.EPtr(half), total)
-	return n.block, nil
+	return bp.nodes.sealFinish(n, paylen), nil
 }
 
-func (bp *bptreeIndex) freeBPNode(n *bpnode) error {
-	if err := bp.e.heap.Free(n.block); err != nil {
-		return err
+// decodeRouters appends count { klen(2) key } router keys read at off;
+// see decodePairs.
+func (n *tnode) decodeRouters(off, count int) int {
+	pay := n.pay
+	for i := 0; i < count; i++ {
+		if off+2 > len(pay) {
+			return -1
+		}
+		kl := int(binary.LittleEndian.Uint16(pay[off:]))
+		off += 2
+		if off+kl > len(pay) {
+			return -1
+		}
+		n.keys = append(n.keys, pay[off:off+kl])
+		off += kl
 	}
-	return bp.e.ctrs.Free(n.redptr)
+	return off
+}
+
+// encodeRouters writes n's keys as router keys at pay[off:] and returns
+// the offset after them.
+func (n *tnode) encodeRouters(pay []byte, off int) int {
+	for _, k := range n.keys {
+		binary.LittleEndian.PutUint16(pay[off:], uint16(len(k)))
+		off += 2 + copy(pay[off+2:], k)
+	}
+	return off
 }
 
 // routeChild returns the child slot to descend for key: interior keys are
@@ -267,6 +135,7 @@ func (bp *bptreeIndex) get(key []byte) ([]byte, error) {
 	if bp.root == sgx.NilU {
 		return nil, ErrNotFound
 	}
+	defer bp.nodes.release(bp.nodes.mark())
 	leaf, _, err := bp.findLeaf(key)
 	if err != nil {
 		return nil, err
@@ -283,8 +152,9 @@ func (bp *bptreeIndex) get(key []byte) ([]byte, error) {
 // findLeaf descends to the leaf responsible for key, verifying every node.
 // It also returns the leaf's upper separator bound — the smallest router key
 // greater than the leaf's range, or nil on the rightmost path — which scans
-// use to hop to the next leaf without sibling pointers.
-func (bp *bptreeIndex) findLeaf(key []byte) (*bpnode, []byte, error) {
+// use to hop to the next leaf without sibling pointers. The bound points
+// into a held interior node, so it lives as long as the leaf.
+func (bp *bptreeIndex) findLeaf(key []byte) (*tnode, []byte, error) {
 	cur := bp.root
 	depth := 0
 	var upper []byte
@@ -302,15 +172,18 @@ func (bp *bptreeIndex) findLeaf(key []byte) (*bpnode, []byte, error) {
 		}
 		slot := routeChild(n.keys, key)
 		if slot < len(n.keys) {
-			upper = cloneBytes(n.keys[slot])
+			upper = n.keys[slot]
 		}
 		cur = n.children[slot]
 	}
 }
 
 func (bp *bptreeIndex) put(key, value []byte) error {
+	defer bp.nodes.release(bp.nodes.mark())
 	if bp.root == sgx.NilU {
-		n := &bpnode{leaf: true, keys: [][]byte{cloneBytes(key)}, vals: [][]byte{cloneBytes(value)}}
+		n := bp.nodes.fresh(true)
+		n.keys = append(n.keys, key)
+		n.vals = append(n.vals, value)
 		b, err := bp.sealBPNode(n)
 		if err != nil {
 			return err
@@ -326,11 +199,9 @@ func (bp *bptreeIndex) put(key, value []byte) error {
 	}
 	bp.root = nb
 	if up != nil {
-		root := &bpnode{
-			leaf:     false,
-			keys:     [][]byte{up.key},
-			children: []sgx.UPtr{bp.root, up.right},
-		}
+		root := bp.nodes.fresh(false)
+		root.keys = append(root.keys, up.key)
+		root.children = append(root.children, bp.root, up.right)
 		b, err := bp.sealBPNode(root)
 		if err != nil {
 			return err
@@ -362,8 +233,8 @@ func (bp *bptreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *
 			nb, err := bp.sealBPNode(n)
 			return nb, nil, true, err
 		}
-		n.keys = insertAt(n.keys, pos, cloneBytes(key))
-		n.vals = insertAt(n.vals, pos, cloneBytes(value))
+		n.keys = insertAt(n.keys, pos, key)
+		n.vals = insertAt(n.vals, pos, value)
 		if len(n.keys) <= bp.maxKeys() {
 			nb, err := bp.sealBPNode(n)
 			return nb, nil, false, err
@@ -371,7 +242,7 @@ func (bp *bptreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *
 		// Leaf split: the right sibling's first key is COPIED up (B+
 		// semantics); all pairs stay in leaves.
 		mid := len(n.keys) / 2
-		right := &bpnode{leaf: true}
+		right := bp.nodes.fresh(true)
 		right.keys = append(right.keys, n.keys[mid:]...)
 		right.vals = append(right.vals, n.vals[mid:]...)
 		n.keys = n.keys[:mid]
@@ -384,7 +255,7 @@ func (bp *bptreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *
 		if err != nil {
 			return block, nil, false, err
 		}
-		return nb, &bpSplit{key: cloneBytes(right.keys[0]), right: rb}, false, nil
+		return nb, &bpSplit{key: right.keys[0], right: rb}, false, nil
 	}
 	slot := routeChild(n.keys, key)
 	childBlock := n.children[slot]
@@ -407,7 +278,7 @@ func (bp *bptreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *
 	// Interior split: the median separator MOVES up (not copied).
 	mid := len(n.keys) / 2
 	upKey := n.keys[mid]
-	right := &bpnode{leaf: false}
+	right := bp.nodes.fresh(false)
 	right.keys = append(right.keys, n.keys[mid+1:]...)
 	right.children = append(right.children, n.children[mid+1:]...)
 	n.keys = n.keys[:mid]
@@ -420,13 +291,14 @@ func (bp *bptreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *
 	if err != nil {
 		return block, nil, false, err
 	}
-	return nb, &bpSplit{key: cloneBytes(upKey), right: rb}, existed, nil
+	return nb, &bpSplit{key: upKey, right: rb}, existed, nil
 }
 
 func (bp *bptreeIndex) delete(key []byte) error {
 	if bp.root == sgx.NilU {
 		return ErrNotFound
 	}
+	defer bp.nodes.release(bp.nodes.mark())
 	nb, deleted, err := bp.deleteRec(bp.root, key)
 	if err != nil {
 		return err
@@ -441,14 +313,14 @@ func (bp *bptreeIndex) delete(key []byte) error {
 		return err
 	}
 	if n.leaf && len(n.keys) == 0 {
-		if err := bp.freeBPNode(n); err != nil {
+		if err := bp.nodes.discard(n); err != nil {
 			return err
 		}
 		bp.root = sgx.NilU
 		bp.height = 0
 	} else if !n.leaf && len(n.keys) == 0 {
 		child := n.children[0]
-		if err := bp.freeBPNode(n); err != nil {
+		if err := bp.nodes.discard(n); err != nil {
 			return err
 		}
 		bp.root = child
@@ -497,7 +369,7 @@ func (bp *bptreeIndex) deleteRec(block sgx.UPtr, key []byte) (sgx.UPtr, bool, er
 // ensureChildFull guarantees n.children[pos] holds at least t entries,
 // borrowing from siblings (updating separators) or merging. Returns the
 // possibly shifted slot.
-func (bp *bptreeIndex) ensureChildFull(n *bpnode, pos int) (int, error) {
+func (bp *bptreeIndex) ensureChildFull(n *tnode, pos int) (int, error) {
 	child, err := bp.openBPNode(n.children[pos])
 	if err != nil {
 		return pos, err
@@ -519,7 +391,7 @@ func (bp *bptreeIndex) ensureChildFull(n *bpnode, pos int) (int, error) {
 				child.vals = insertAt(child.vals, 0, left.vals[li])
 				left.keys = left.keys[:li]
 				left.vals = left.vals[:li]
-				n.keys[pos-1] = cloneBytes(child.keys[0])
+				n.keys[pos-1] = child.keys[0]
 			} else {
 				child.keys = insertAt(child.keys, 0, n.keys[pos-1])
 				li := len(left.keys) - 1
@@ -548,7 +420,7 @@ func (bp *bptreeIndex) ensureChildFull(n *bpnode, pos int) (int, error) {
 				child.vals = append(child.vals, right.vals[0])
 				right.keys = removeAt(right.keys, 0)
 				right.vals = removeAt(right.vals, 0)
-				n.keys[pos] = cloneBytes(right.keys[0])
+				n.keys[pos] = right.keys[0]
 			} else {
 				child.keys = append(child.keys, n.keys[pos])
 				n.keys[pos] = right.keys[0]
@@ -576,7 +448,7 @@ func (bp *bptreeIndex) ensureChildFull(n *bpnode, pos int) (int, error) {
 // mergeBP folds children pos and pos+1 into the left one. For leaves the
 // separator disappears (it was only a router copy); for interiors it moves
 // down.
-func (bp *bptreeIndex) mergeBP(n *bpnode, pos int, left, right *bpnode) error {
+func (bp *bptreeIndex) mergeBP(n *tnode, pos int, left, right *tnode) error {
 	n.dirtyShape = true
 	if left.leaf {
 		left.keys = append(left.keys, right.keys...)
@@ -586,7 +458,7 @@ func (bp *bptreeIndex) mergeBP(n *bpnode, pos int, left, right *bpnode) error {
 		left.keys = append(left.keys, right.keys...)
 		left.children = append(left.children, right.children...)
 	}
-	if err := bp.freeBPNode(right); err != nil {
+	if err := bp.nodes.discard(right); err != nil {
 		return err
 	}
 	nb, err := bp.sealBPNode(left)
@@ -610,7 +482,13 @@ func (bp *bptreeIndex) scan(start, end []byte, fn func(k, v []byte) bool) error 
 	if bp.root == sgx.NilU {
 		return nil
 	}
+	// Each descent's nodes go back to the arena once its leaf's pairs
+	// are emitted (fn's slices are valid only during the call), so the
+	// next leaf's lower bound is copied out of them first.
+	mark := bp.nodes.mark()
+	defer bp.nodes.release(mark)
 	cursor := start
+	var next []byte
 	for {
 		leaf, upper, err := bp.findLeaf(cursor)
 		if err != nil {
@@ -635,7 +513,9 @@ func (bp *bptreeIndex) scan(start, end []byte, fn func(k, v []byte) bool) error 
 		}
 		// upper is the inclusive lower bound of the next leaf's range
 		// and strictly greater than every key just emitted.
-		cursor = upper
+		next = append(next[:0], upper...)
+		cursor = next
+		bp.nodes.release(mark)
 	}
 }
 
@@ -650,7 +530,10 @@ func (bp *bptreeIndex) verifyAll() error {
 	}
 	count := 0
 	var walk func(block sgx.UPtr, depth int, lo, hi []byte) error
+	// Each walk holds its node, whose keys bound the children's walks,
+	// until it returns: O(height) nodes out at a time.
 	walk = func(block sgx.UPtr, depth int, lo, hi []byte) error {
+		defer bp.nodes.release(bp.nodes.mark())
 		n, err := bp.openBPNode(block)
 		if err != nil {
 			return err
@@ -673,22 +556,13 @@ func (bp *bptreeIndex) verifyAll() error {
 			count += len(n.keys)
 			return nil
 		}
-		keys := make([][]byte, len(n.keys))
-		for i := range n.keys {
-			keys[i] = cloneBytes(n.keys[i])
-		}
-		children := append([]sgx.UPtr(nil), n.children...)
-		for i, c := range children {
-			var clo, chi []byte
+		for i, c := range n.children {
+			clo, chi := lo, hi
 			if i > 0 {
-				clo = keys[i-1]
-			} else {
-				clo = lo
+				clo = n.keys[i-1]
 			}
-			if i < len(keys) {
-				chi = keys[i]
-			} else {
-				chi = hi
+			if i < len(n.keys) {
+				chi = n.keys[i]
 			}
 			if err := walk(c, depth+1, clo, chi); err != nil {
 				return err

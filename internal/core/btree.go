@@ -2,11 +2,8 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 
-	"github.com/ariakv/aria/internal/redir"
-	"github.com/ariakv/aria/internal/seccrypto"
 	"github.com/ariakv/aria/internal/sgx"
 )
 
@@ -29,125 +26,36 @@ import (
 // pointers the two are equally strong (see DESIGN.md §4), and self-binding
 // avoids re-MACing every child whenever a parent reshuffles its slots.
 //
-// Node block layout in untrusted memory:
-//
-//	offset  0: redptr (8)
-//	offset  8: paylen (4)
-//	offset 12: enc(payload)
-//	offset 12+paylen: MAC (16)
-//
-// Payload plaintext:
+// Node blocks use the shared tree layout (node.go). Payload plaintext:
 //
 //	flags(1) nkeys(2) { klen(2) vlen(2) key value }*nkeys [children (nkeys+1)*8]
-const (
-	tnOffRedPtr = 0
-	tnOffPayLen = 8
-	tnOffPay    = 12
-	tnOverhead  = tnOffPay + seccrypto.MACSize
-)
-
 type btreeIndex struct {
-	e      *Engine
+	nodes  nodeStore
 	t      int // minimum degree: nodes hold t-1..2t-1 keys (except root)
 	root   sgx.UPtr
 	height int // node levels from root to leaf inclusive; 0 = empty
 	live   int
 }
 
-// tnode is a decoded, verified node. Key/value slices point into a single
-// backing copy, so one open costs one allocation.
-type tnode struct {
-	block    sgx.UPtr
-	redptr   redir.RedPtr
-	leaf     bool
-	keys     [][]byte
-	vals     [][]byte
-	children []sgx.UPtr
-	// dirtyShape marks that sibling borrow/merge changed this node's
-	// keys or children, so the caller must reseal it.
-	dirtyShape bool
-}
-
 func newBTreeIndex(e *Engine) (*btreeIndex, error) {
-	return &btreeIndex{e: e, t: e.opts.BTreeDegree}, nil
+	return &btreeIndex{nodes: nodeStore{e: e, what: "tree"}, t: e.opts.BTreeDegree}, nil
 }
 
 func (bt *btreeIndex) maxKeys() int { return 2*bt.t - 1 }
 
-// maxNodeSize bounds the sealed size of any legal node.
-func (e *Engine) maxNodeSize() int {
-	t := e.opts.BTreeDegree
-	if t <= 1 {
-		t = 8
-	}
-	maxKeys := 2*t - 1
-	pay := 3 + maxKeys*(4+e.opts.MaxKeySize+e.opts.MaxValueSize) + (maxKeys+1)*8
-	return tnOverhead + pay
-}
-
-// openNode verifies and decrypts the node at block.
+// openNode verifies, decrypts and decodes the node at block.
 func (bt *btreeIndex) openNode(block sgx.UPtr) (*tnode, error) {
-	e := bt.e
-	if !e.enc.UValid(block, tnOverhead) {
-		return nil, fmt.Errorf("%w: node pointer %#x out of range", ErrIntegrity, block)
-	}
-	hdr := e.enc.UBytes(block, tnOffPay)
-	paylen := int(binary.LittleEndian.Uint32(hdr[tnOffPayLen:]))
-	if paylen <= 0 || tnOverhead+paylen > e.scratchN/2 {
-		return nil, fmt.Errorf("%w: node at %#x has implausible payload length %d", ErrIntegrity, block, paylen)
-	}
-	total := tnOverhead + paylen
-	if !e.enc.UValid(block, total) {
-		return nil, fmt.Errorf("%w: node at %#x extends past the arena", ErrIntegrity, block)
-	}
-	e.enc.CopyIn(e.scratch, block, total)
-	buf := e.enc.EBytesRaw(e.scratch, total)
-	rp := redir.RedPtr(binary.LittleEndian.Uint64(buf[tnOffRedPtr:]))
-	ctr, err := e.ctrs.CounterGet(rp)
+	n, err := bt.nodes.open(block)
 	if err != nil {
 		return nil, err
 	}
-	var ad [8]byte
-	binary.LittleEndian.PutUint64(ad[:], uint64(block))
-	macOff := tnOffPay + paylen
-	e.enc.ChargeMAC(macOff + 8 + 16)
-	if !e.cip.VerifyMAC(buf[macOff:macOff+seccrypto.MACSize], buf[:macOff], ad[:], ctr[:]) {
-		return nil, fmt.Errorf("%w: tree node at %#x (tampered, replayed, or relocated)", ErrIntegrity, block)
+	nkeys := n.nkeys()
+	off := n.decodePairs(3, nkeys)
+	if !n.leaf && off >= 0 {
+		off = n.decodeChildren(off, nkeys+1)
 	}
-	e.enc.ChargeCTR(paylen)
-	e.cip.CTRCrypt(&ctr, buf[tnOffPay:macOff], buf[tnOffPay:macOff])
-
-	// Decode into one backing copy (scratch is reused by the next open).
-	pay := make([]byte, paylen)
-	copy(pay, buf[tnOffPay:macOff])
-	n := &tnode{block: block, redptr: rp, leaf: pay[0]&1 != 0}
-	nkeys := int(binary.LittleEndian.Uint16(pay[1:]))
-	off := 3
-	n.keys = make([][]byte, nkeys)
-	n.vals = make([][]byte, nkeys)
-	for i := 0; i < nkeys; i++ {
-		if off+4 > paylen {
-			return nil, fmt.Errorf("%w: node at %#x truncated", ErrIntegrity, block)
-		}
-		kl := int(binary.LittleEndian.Uint16(pay[off:]))
-		vl := int(binary.LittleEndian.Uint16(pay[off+2:]))
-		off += 4
-		if off+kl+vl > paylen {
-			return nil, fmt.Errorf("%w: node at %#x truncated", ErrIntegrity, block)
-		}
-		n.keys[i] = pay[off : off+kl]
-		n.vals[i] = pay[off+kl : off+kl+vl]
-		off += kl + vl
-	}
-	if !n.leaf {
-		n.children = make([]sgx.UPtr, nkeys+1)
-		for i := range n.children {
-			if off+8 > paylen {
-				return nil, fmt.Errorf("%w: node at %#x truncated", ErrIntegrity, block)
-			}
-			n.children[i] = sgx.UPtr(binary.LittleEndian.Uint64(pay[off:]))
-			off += 8
-		}
+	if off < 0 {
+		return nil, truncated(block)
 	}
 	return n, nil
 }
@@ -158,88 +66,19 @@ func (bt *btreeIndex) openNode(block sgx.UPtr) (*tnode, error) {
 // A nil-block node is freshly allocated. The node's counter is bumped so
 // every sealed image is fresh.
 func (bt *btreeIndex) sealNode(n *tnode) (sgx.UPtr, error) {
-	e := bt.e
-	paylen := 3
-	for i := range n.keys {
-		paylen += 4 + len(n.keys[i]) + len(n.vals[i])
-	}
+	paylen := 3 + n.pairsLen()
 	if !n.leaf {
 		paylen += len(n.children) * 8
 	}
-	total := tnOverhead + paylen
-
-	if n.block == sgx.NilU {
-		rp, err := e.ctrs.Fetch()
-		if err != nil {
-			return sgx.NilU, err
-		}
-		n.redptr = rp
-		b, err := e.heap.Alloc(total)
-		if err != nil {
-			return sgx.NilU, err
-		}
-		n.block = b
-	} else if e.heap.BlockSize(n.block) < total {
-		if err := e.heap.Free(n.block); err != nil {
-			return sgx.NilU, err
-		}
-		b, err := e.heap.Alloc(total)
-		if err != nil {
-			return sgx.NilU, err
-		}
-		n.block = b
-	}
-
-	ctr, err := e.ctrs.CounterBump(n.redptr)
+	pay, err := bt.nodes.sealStart(n, paylen)
 	if err != nil {
 		return sgx.NilU, err
 	}
-	half := e.scratchN / 2
-	buf := e.enc.EBytesRaw(e.scratch+sgx.EPtr(half), total)
-	e.enc.ETouch(e.scratch+sgx.EPtr(half), total)
-	binary.LittleEndian.PutUint64(buf[tnOffRedPtr:], uint64(n.redptr))
-	binary.LittleEndian.PutUint32(buf[tnOffPayLen:], uint32(paylen))
-	pay := buf[tnOffPay : tnOffPay+paylen]
-	if n.leaf {
-		pay[0] = 1
-	} else {
-		pay[0] = 0
-	}
-	binary.LittleEndian.PutUint16(pay[1:], uint16(len(n.keys)))
-	off := 3
-	for i := range n.keys {
-		binary.LittleEndian.PutUint16(pay[off:], uint16(len(n.keys[i])))
-		binary.LittleEndian.PutUint16(pay[off+2:], uint16(len(n.vals[i])))
-		off += 4
-		copy(pay[off:], n.keys[i])
-		copy(pay[off+len(n.keys[i]):], n.vals[i])
-		off += len(n.keys[i]) + len(n.vals[i])
-	}
+	off := n.encodePairs(pay, 3)
 	if !n.leaf {
-		for _, c := range n.children {
-			binary.LittleEndian.PutUint64(pay[off:], uint64(c))
-			off += 8
-		}
+		n.encodeChildren(pay, off)
 	}
-	e.enc.ChargeCTR(paylen)
-	e.cip.CTRCrypt(&ctr, pay, pay)
-	var ad [8]byte
-	binary.LittleEndian.PutUint64(ad[:], uint64(n.block))
-	macOff := tnOffPay + paylen
-	var mac [16]byte
-	e.enc.ChargeMAC(macOff + 8 + 16)
-	e.cip.MAC(&mac, buf[:macOff], ad[:], ctr[:])
-	copy(buf[macOff:], mac[:])
-	e.enc.CopyOut(n.block, e.scratch+sgx.EPtr(half), total)
-	return n.block, nil
-}
-
-// freeNode releases a node's block and counter (after a merge).
-func (bt *btreeIndex) freeNode(n *tnode) error {
-	if err := bt.e.heap.Free(n.block); err != nil {
-		return err
-	}
-	return bt.e.ctrs.Free(n.redptr)
+	return bt.nodes.sealFinish(n, paylen), nil
 }
 
 // search returns the position of key in keys, or the child slot to descend.
@@ -263,6 +102,7 @@ func (bt *btreeIndex) get(key []byte) ([]byte, error) {
 	if bt.root == sgx.NilU {
 		return nil, ErrNotFound
 	}
+	defer bt.nodes.release(bt.nodes.mark())
 	cur := bt.root
 	depth := 0
 	for {
@@ -288,8 +128,11 @@ func (bt *btreeIndex) get(key []byte) ([]byte, error) {
 }
 
 func (bt *btreeIndex) put(key, value []byte) error {
+	defer bt.nodes.release(bt.nodes.mark())
 	if bt.root == sgx.NilU {
-		n := &tnode{leaf: true, keys: [][]byte{key}, vals: [][]byte{value}}
+		n := bt.nodes.fresh(true)
+		n.keys = append(n.keys, key)
+		n.vals = append(n.vals, value)
 		b, err := bt.sealNode(n)
 		if err != nil {
 			return err
@@ -305,12 +148,10 @@ func (bt *btreeIndex) put(key, value []byte) error {
 	}
 	bt.root = nb
 	if up != nil {
-		newRoot := &tnode{
-			leaf:     false,
-			keys:     [][]byte{up.key},
-			vals:     [][]byte{up.val},
-			children: []sgx.UPtr{bt.root, up.right},
-		}
+		newRoot := bt.nodes.fresh(false)
+		newRoot.keys = append(newRoot.keys, up.key)
+		newRoot.vals = append(newRoot.vals, up.val)
+		newRoot.children = append(newRoot.children, bt.root, up.right)
 		b, err := bt.sealNode(newRoot)
 		if err != nil {
 			return err
@@ -345,8 +186,8 @@ func (bt *btreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *s
 		return nb, nil, true, err
 	}
 	if n.leaf {
-		n.keys = insertAt(n.keys, pos, cloneBytes(key))
-		n.vals = insertAt(n.vals, pos, cloneBytes(value))
+		n.keys = insertAt(n.keys, pos, key)
+		n.vals = insertAt(n.vals, pos, value)
 	} else {
 		childBlock := n.children[pos]
 		ncb, up, existed, err := bt.insertRec(childBlock, key, value)
@@ -376,7 +217,7 @@ func (bt *btreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *s
 	// Overfull (2t keys): split around the median.
 	mid := len(n.keys) / 2
 	up := &splitUp{key: n.keys[mid], val: n.vals[mid]}
-	right := &tnode{leaf: n.leaf}
+	right := bt.nodes.fresh(n.leaf)
 	right.keys = append(right.keys, n.keys[mid+1:]...)
 	right.vals = append(right.vals, n.vals[mid+1:]...)
 	n.keys = n.keys[:mid]
@@ -392,12 +233,6 @@ func (bt *btreeIndex) insertRec(block sgx.UPtr, key, value []byte) (sgx.UPtr, *s
 	up.right = rb
 	nb, err := bt.sealNode(n)
 	return nb, up, false, err
-}
-
-func cloneBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
 func insertAt(s [][]byte, i int, v []byte) [][]byte {
@@ -428,6 +263,7 @@ func (bt *btreeIndex) delete(key []byte) error {
 	if bt.root == sgx.NilU {
 		return ErrNotFound
 	}
+	defer bt.nodes.release(bt.nodes.mark())
 	nb, deleted, err := bt.deleteRec(bt.root, key)
 	if err != nil {
 		return err
@@ -444,14 +280,14 @@ func (bt *btreeIndex) delete(key []byte) error {
 	}
 	if len(n.keys) == 0 {
 		if n.leaf {
-			if err := bt.freeNode(n); err != nil {
+			if err := bt.nodes.discard(n); err != nil {
 				return err
 			}
 			bt.root = sgx.NilU
 			bt.height = 0
 		} else {
 			child := n.children[0]
-			if err := bt.freeNode(n); err != nil {
+			if err := bt.nodes.discard(n); err != nil {
 				return err
 			}
 			bt.root = child
@@ -692,7 +528,7 @@ func (bt *btreeIndex) mergeChildren(n *tnode, pos int, left, right *tnode) (sgx.
 	if !left.leaf {
 		left.children = append(left.children, right.children...)
 	}
-	if err := bt.freeNode(right); err != nil {
+	if err := bt.nodes.discard(right); err != nil {
 		return sgx.NilU, err
 	}
 	nb, err := bt.sealNode(left)
@@ -719,7 +555,10 @@ func (bt *btreeIndex) verifyAll() error {
 	}
 	count := 0
 	var walk func(block sgx.UPtr, depth int, lo, hi []byte) error
+	// Each walk holds its node, whose keys bound the children's walks,
+	// until it returns: O(height) nodes out at a time.
 	walk = func(block sgx.UPtr, depth int, lo, hi []byte) error {
+		defer bt.nodes.release(bt.nodes.mark())
 		n, err := bt.openNode(block)
 		if err != nil {
 			return err
@@ -742,24 +581,13 @@ func (bt *btreeIndex) verifyAll() error {
 			}
 			return nil
 		}
-		// Children are revisited recursively; copy bounds since the
-		// decoded node is invalidated by nested opens.
-		keys := make([][]byte, len(n.keys))
-		for i := range n.keys {
-			keys[i] = cloneBytes(n.keys[i])
-		}
-		children := append([]sgx.UPtr(nil), n.children...)
-		for i, c := range children {
-			var clo, chi []byte
+		for i, c := range n.children {
+			clo, chi := lo, hi
 			if i > 0 {
-				clo = keys[i-1]
-			} else {
-				clo = lo
+				clo = n.keys[i-1]
 			}
-			if i < len(keys) {
-				chi = keys[i]
-			} else {
-				chi = hi
+			if i < len(n.keys) {
+				chi = n.keys[i]
 			}
 			if err := walk(c, depth+1, clo, chi); err != nil {
 				return err

@@ -165,6 +165,7 @@ type scanner interface {
 type Engine struct {
 	enc   *sgx.Enclave
 	cip   *seccrypto.Cipher
+	mac   *seccrypto.MACer // cip's MAC key, for entries and tree nodes
 	heap  *alloc.Heap
 	cache *securecache.Cache
 	ctrs  counterBackend
@@ -172,7 +173,8 @@ type Engine struct {
 	opts  Options
 
 	// scratch is an enclave staging buffer for entry/node
-	// seal-and-verify work.
+	// seal-and-verify work. It and mac are shared mutable state: the
+	// engine serves one caller at a time.
 	scratch  sgx.EPtr
 	scratchN int
 
@@ -189,6 +191,7 @@ func New(enc *sgx.Enclave, opts Options) (*Engine, error) {
 	e := &Engine{
 		enc:  enc,
 		cip:  cip,
+		mac:  cip.NewMACer(),
 		heap: alloc.New(enc, opts.OcallAlloc),
 		opts: opts,
 	}
@@ -233,9 +236,6 @@ func New(enc *sgx.Enclave, opts Options) (*Engine, error) {
 	// decoded entry/node while assembling its replacement.
 	e.scratchN = e.maxEntrySize()
 	if n := e.maxNodeSize(); n > e.scratchN {
-		e.scratchN = n
-	}
-	if n := e.maxBPNodeSize(); n > e.scratchN {
 		e.scratchN = n
 	}
 	e.scratchN *= 2

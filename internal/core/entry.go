@@ -93,7 +93,7 @@ func (e *Engine) openEntry(block sgx.UPtr, adfield sgx.UPtr) (entryRef, error) {
 	binary.LittleEndian.PutUint64(ad[:], uint64(adfield))
 	macOff := entOffKV + klen + vlen
 	e.enc.ChargeMAC(macOff - entOffRedPtr + 8 + 16)
-	if !e.cip.VerifyMAC(buf[macOff:macOff+seccrypto.MACSize],
+	if !e.mac.Verify(buf[macOff:macOff+seccrypto.MACSize],
 		buf[entOffRedPtr:macOff], ad[:], ctr[:]) {
 		return ref, fmt.Errorf("%w: entry at %#x (tampered, replayed, or relocated)", ErrIntegrity, block)
 	}
@@ -127,10 +127,8 @@ func (e *Engine) sealEntry(block sgx.UPtr, next sgx.UPtr, hint uint32,
 	macOff := entOffKV + len(key) + len(value)
 	var ad [8]byte
 	binary.LittleEndian.PutUint64(ad[:], uint64(adfield))
-	var mac [16]byte
 	e.enc.ChargeMAC(macOff - entOffRedPtr + 8 + 16)
-	e.cip.MAC(&mac, buf[entOffRedPtr:macOff], ad[:], ctr[:])
-	copy(buf[macOff:], mac[:])
+	e.mac.MAC((*[16]byte)(buf[macOff:macOff+seccrypto.MACSize]), buf[entOffRedPtr:macOff], ad[:], ctr[:])
 	e.enc.CopyOut(block, e.scratch+sgx.EPtr(half), total)
 }
 

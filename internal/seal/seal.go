@@ -132,14 +132,15 @@ func (s *Sealer) Seal(seq, salt uint64, chain Chain, payload []byte) ([]byte, Ch
 // a row through one. Not safe for concurrent use; the Sealer it came
 // from stays usable alongside it.
 type Stream struct {
-	s   *Sealer
-	ctr *seccrypto.CTRStream
-	mac [seccrypto.MACSize]byte
+	s    *Sealer
+	ctr  *seccrypto.CTRStream
+	cmac *seccrypto.MACer
+	mac  [seccrypto.MACSize]byte
 }
 
 // NewStream returns a Stream sealing under s's keys and epoch.
 func (s *Sealer) NewStream() *Stream {
-	return &Stream{s: s, ctr: s.c.NewCTRStream()}
+	return &Stream{s: s, ctr: s.c.NewCTRStream(), cmac: s.c.NewMACer()}
 }
 
 // AppendSeal is Seal appending the sealed record to dst instead of
@@ -153,7 +154,7 @@ func (st *Stream) AppendSeal(dst []byte, seq, salt uint64, chain Chain, payload 
 	st.ctr.Crypt(&ctr, dst[off+16:], dst[off+16:])
 	var saltB [8]byte
 	binary.LittleEndian.PutUint64(saltB[:], salt)
-	st.s.c.MAC(&st.mac, chain[:], saltB[:], dst[off:])
+	st.cmac.MAC(&st.mac, chain[:], saltB[:], dst[off:])
 	return append(dst, st.mac[:]...), st.mac
 }
 

@@ -113,43 +113,118 @@ func (s *CTRStream) Crypt(counter *[16]byte, dst, src []byte) {
 // MAC computes the AES-CMAC over the concatenation of the given parts and
 // writes it to out. Accepting parts avoids materialising the concatenated
 // message, which in Aria can span an entry header, counter, ciphertext, and
-// address field living in different places.
+// address field living in different places. It is safe for concurrent use;
+// a caller that MACs many messages on one goroutine should use a MACer.
 func (c *Cipher) MAC(out *[16]byte, parts ...[]byte) {
-	var x [16]byte // running CBC state
-	var blk [16]byte
-	fill := 0
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	var st struct {
+		x   [16]byte
+		blk [64]byte
 	}
-	processed := 0
+	c.cmac(nil, &st.x, st.blk[:], out, parts)
+}
+
+// macChunk is how much of a message a MACer stages before it runs the
+// staged blocks through its CBC chain in one call.
+const macChunk = 512
+
+// MACer is Cipher.MAC for a caller that MACs many messages back to back
+// (the engine's entries and tree nodes): one reusable CBC encrypter under
+// the MAC key takes up to 512 bytes of a message per call, where
+// Cipher.MAC encrypts one block per call, and MAC allocates nothing. The
+// output is byte-identical to Cipher.MAC's. Not safe for concurrent use.
+type MACer struct {
+	c     *Cipher
+	cbc   cbcChain // nil: chain block by block through x, as Cipher.MAC does
+	x     [16]byte
+	chunk [macChunk]byte
+}
+
+// cbcChain is a CBC encrypter whose chaining value can be reset, so one
+// encrypter serves message after message.
+type cbcChain interface {
+	cipher.BlockMode
+	SetIV(iv []byte)
+}
+
+var zeroBlock [16]byte
+
+// NewMACer returns a reusable CMAC under c's MAC key.
+func (c *Cipher) NewMACer() *MACer {
+	m := &MACer{c: c}
+	m.cbc, _ = cipher.NewCBCEncrypter(c.mac, zeroBlock[:]).(cbcChain)
+	return m
+}
+
+// MAC computes the AES-CMAC over the concatenation of parts into out.
+func (m *MACer) MAC(out *[16]byte, parts ...[]byte) {
+	if m.cbc != nil {
+		m.cbc.SetIV(zeroBlock[:])
+	} else {
+		m.x = zeroBlock
+	}
+	m.c.cmac(m.cbc, &m.x, m.chunk[:], out, parts)
+}
+
+// Verify recomputes the CMAC over parts and compares it with want in
+// constant time, like Cipher.VerifyMAC.
+func (m *MACer) Verify(want []byte, parts ...[]byte) bool {
+	var got [16]byte
+	m.MAC(&got, parts...)
+	return subtle.ConstantTimeCompare(got[:], want) == 1
+}
+
+// cmac is the one CMAC loop (RFC 4493). It stages the message in buf, a
+// whole number of blocks, and CBC-encrypts buf each time it is full and
+// more of the message follows, so the final block is always still staged
+// at the end. That block is padded if short, XORed with subkey K1 or K2,
+// and chained too: its ciphertext is the MAC. The chain is cbc, started
+// from a zero chaining value, or when cbc is nil the MAC key one block at
+// a time with x as the chaining value. Nothing the caller passes reaches
+// an interface call, so out and parts never escape.
+func (c *Cipher) cmac(cbc cbcChain, x *[16]byte, buf []byte, out *[16]byte, parts [][]byte) {
+	n := 0
 	for _, p := range parts {
 		for len(p) > 0 {
-			n := copy(blk[fill:], p)
-			fill += n
-			processed += n
-			p = p[n:]
-			if fill == 16 && processed < total {
-				xor16(&x, &blk)
-				c.mac.Encrypt(x[:], x[:])
-				fill = 0
+			if n == len(buf) {
+				c.chain(cbc, x, buf)
+				n = 0
 			}
+			k := copy(buf[n:], p)
+			n += k
+			p = p[k:]
 		}
 	}
-	// Final block.
-	if total > 0 && fill == 16 {
-		xor16(&blk, &c.k1)
-		xor16(&x, &blk)
+	f := 0 // start of the final block
+	if n > 0 {
+		f = (n - 1) &^ 15
+	}
+	last := (*[16]byte)(buf[f : f+16])
+	if tail := n - f; tail == 16 {
+		xor16(last, &c.k1)
 	} else {
-		// Pad with 0x80 then zeros.
-		blk[fill] = 0x80
-		for i := fill + 1; i < 16; i++ {
-			blk[i] = 0
-		}
-		xor16(&blk, &c.k2)
-		xor16(&x, &blk)
+		last[tail] = 0x80
+		clear(last[tail+1:])
+		xor16(last, &c.k2)
 	}
-	c.mac.Encrypt(out[:], x[:])
+	c.chain(cbc, x, buf[:f+16])
+	if cbc != nil {
+		*out = *last
+	} else {
+		*out = *x
+	}
+}
+
+// chain CBC-encrypts the whole blocks of buf: in place through cbc, or
+// without writing buf through the MAC key into x when cbc is nil.
+func (c *Cipher) chain(cbc cbcChain, x *[16]byte, buf []byte) {
+	if cbc != nil {
+		cbc.CryptBlocks(buf, buf)
+		return
+	}
+	for ; len(buf) >= 16; buf = buf[16:] {
+		xor16(x, (*[16]byte)(buf))
+		c.mac.Encrypt(x[:], x[:])
+	}
 }
 
 // VerifyMAC recomputes the CMAC over parts and compares it with want in

@@ -3,6 +3,9 @@ package seccrypto
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -223,5 +226,139 @@ func TestCounterBlockLayout(t *testing.T) {
 	want := []byte{8, 7, 6, 5, 4, 3, 2, 1, 0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11}
 	if !bytes.Equal(b[:], want) {
 		t.Errorf("CounterBlock layout = %x, want %x", b, want)
+	}
+}
+
+func TestMACerRFC4493Vectors(t *testing.T) {
+	m := newRFC(t).NewMACer()
+	for _, tc := range []struct {
+		msg  []byte
+		want string
+	}{
+		{nil, "bb1d6929e95937287fa37d129b756746"},
+		{rfcMsg[:16], "070a16b46b4d4144f79bdd9dd04a287c"},
+		{rfcMsg[:40], "dfa66747de9ae63030ca32611497c827"},
+		{rfcMsg[:64], "51f0bebf7e3b9d92fc49741779363cfe"},
+	} {
+		var got [16]byte
+		m.MAC(&got, tc.msg)
+		if hex.EncodeToString(got[:]) != tc.want {
+			t.Errorf("len %d: MACer = %x, want %s", len(tc.msg), got, tc.want)
+		}
+	}
+}
+
+// splitParts cuts msg into 1..4 parts at the given offsets.
+func splitParts(msg []byte, cuts ...int) [][]byte {
+	var parts [][]byte
+	prev := 0
+	for _, c := range cuts {
+		c %= len(msg) + 1
+		if c < prev {
+			c = prev
+		}
+		parts = append(parts, msg[prev:c])
+		prev = c
+	}
+	return append(parts, msg[prev:])
+}
+
+// TestMACerMatchesMAC runs one MACer over 20 000 random messages of
+// 0–1 200 bytes, each cut into 1–4 parts, against Cipher.MAC: every
+// length mod 16, chunk boundary and part boundary must give the same tag.
+// So must a MACer on the block-at-a-time chain, its fallback when the CBC
+// encrypter cannot be reset.
+func TestMACerMatchesMAC(t *testing.T) {
+	c := newRFC(t)
+	m, fallback := c.NewMACer(), c.NewMACer()
+	fallback.cbc = nil
+	rng := rand.New(rand.NewSource(4493))
+	buf := make([]byte, 1200)
+	for i := 0; i < 20000; i++ {
+		msg := buf[:rng.Intn(len(buf)+1)]
+		rng.Read(msg)
+		cuts := make([]int, rng.Intn(4))
+		for j := range cuts {
+			cuts[j] = rng.Intn(len(msg) + 1)
+		}
+		sort.Ints(cuts)
+		parts := splitParts(msg, cuts...)
+		var want, got, fb [16]byte
+		c.MAC(&want, msg)
+		m.MAC(&got, parts...)
+		fallback.MAC(&fb, parts...)
+		if got != want || fb != want {
+			t.Fatalf("len %d cuts %v: MACer %x, fallback %x, MAC %x", len(msg), cuts, got, fb, want)
+		}
+		if !m.Verify(want[:], parts...) || !c.VerifyMAC(want[:], parts...) {
+			t.Fatalf("len %d cuts %v: Verify rejected a valid tag", len(msg), cuts)
+		}
+	}
+}
+
+func TestMACerAllocs(t *testing.T) {
+	m := newRFC(t).NewMACer()
+	msg := make([]byte, 1600)
+	var ad [8]byte
+	var ctr [16]byte
+	if n := testing.AllocsPerRun(100, func() {
+		var out [16]byte
+		m.MAC(&out, msg, ad[:], ctr[:])
+		m.Verify(out[:], msg, ad[:], ctr[:])
+	}); n != 0 {
+		t.Errorf("MACer allocates %v times per MAC+Verify, want 0", n)
+	}
+}
+
+// FuzzMACer checks MACer against Cipher.MAC on arbitrary messages and
+// part boundaries; the seeds below run on every go test.
+func FuzzMACer(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0))
+	f.Add(rfcMsg[:16], uint16(16), uint16(16))
+	f.Add(rfcMsg[:40], uint16(7), uint16(33))
+	f.Add(bytes.Repeat(rfcMsg, 9), uint16(512), uint16(513))
+	f.Add(bytes.Repeat(rfcMsg, 25), uint16(1), uint16(1599))
+	c, err := New(rfcKey, rfcKey)
+	if err != nil {
+		f.Fatal(err)
+	}
+	m := c.NewMACer()
+	f.Fuzz(func(t *testing.T, msg []byte, a, b uint16) {
+		cuts := []int{int(a), int(b)}
+		sort.Ints(cuts)
+		var want, got [16]byte
+		c.MAC(&want, msg)
+		m.MAC(&got, splitParts(msg, cuts...)...)
+		if got != want {
+			t.Fatalf("len %d cuts %v: MACer %x, MAC %x", len(msg), cuts, got, want)
+		}
+	})
+}
+
+// BenchmarkMAC prices one tag at an entry's size (64, 160 B) and an
+// Aria-T node's (1 600 B) on both paths.
+func BenchmarkMAC(b *testing.B) {
+	c, err := New(rfcKey, rfcKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := c.NewMACer()
+	var ad [8]byte
+	var ctr [16]byte
+	for _, size := range []int{64, 160, 1600} {
+		msg := make([]byte, size-len(ad)-len(ctr))
+		var out [16]byte
+		b.Run(fmt.Sprintf("Cipher/%d", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				c.MAC(&out, msg, ad[:], ctr[:])
+			}
+		})
+		b.Run(fmt.Sprintf("MACer/%d", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				m.MAC(&out, msg, ad[:], ctr[:])
+			}
+		})
 	}
 }

@@ -326,39 +326,57 @@ func TestShardedVerifyIntegrityAuditsAllShards(t *testing.T) {
 }
 
 func TestShardedConcurrentOps(t *testing.T) {
-	// The per-shard locks must make the whole store goroutine-safe; the
-	// race detector turns any violation into a failure.
-	st := loadShardedStore(t, shardedOptions(4))
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				k := shardKey((g*300 + i) % shardTestKeys)
-				if i%3 == 0 {
-					if err := st.Put(k, []byte("w")); err != nil {
-						errs <- err
-						return
+	// The per-shard locks must make the whole store goroutine-safe, the
+	// engine's reused buffers (tree node arena, MACer) included; the race
+	// detector turns any violation into a failure, and every read must
+	// see a value some writer stored.
+	for _, scheme := range []Scheme{AriaHash, AriaTree, AriaBPTree} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			opts := shardedOptions(4)
+			opts.Scheme = scheme
+			st := loadShardedStore(t, opts)
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 300; i++ {
+						n := (g*300 + i) % shardTestKeys
+						k := shardKey(n)
+						if i%3 == 0 {
+							if err := st.Put(k, []byte("w")); err != nil {
+								errs <- err
+								return
+							}
+						} else if v, err := st.Get(k); err != nil && !errors.Is(err, ErrNotFound) {
+							errs <- err
+							return
+						} else if err == nil && string(v) != "w" && string(v) != fmt.Sprintf("v-%d", n) {
+							errs <- fmt.Errorf("Get(%s) = %q", k, v)
+							return
+						}
+						if i%97 == 0 {
+							_ = st.Stats()
+						}
+						if scheme == AriaBPTree && i%50 == 0 {
+							if err := st.Scan(k, nil, func(_, _ []byte) bool { return false }); err != nil {
+								errs <- err
+								return
+							}
+						}
 					}
-				} else if _, err := st.Get(k); err != nil && !errors.Is(err, ErrNotFound) {
-					errs <- err
-					return
-				}
-				if i%97 == 0 {
-					_ = st.Stats()
-				}
+				}(g)
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if st.Stats().Keys != shardTestKeys {
-		t.Errorf("keys after concurrent churn = %d", st.Stats().Keys)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if st.Stats().Keys != shardTestKeys {
+				t.Errorf("keys after concurrent churn = %d", st.Stats().Keys)
+			}
+		})
 	}
 }
 

@@ -480,8 +480,9 @@ func TestSnapshotBytesMatchRecordByRecordSealing(t *testing.T) {
 }
 
 // TestSnapshotWriteAllocsPerPair pins the write path's allocation
-// budget: at most one per pair (the CMAC's block state), whatever the
-// fixed per-file cost.
+// budget: at most one per pair, whatever the fixed per-file cost. The
+// sealing stream's reusable CTR and CMAC make it none today; the race
+// detector's own allocations account for the margin.
 func TestSnapshotWriteAllocsPerPair(t *testing.T) {
 	dir := t.TempDir()
 	s := seal.New(7)
